@@ -13,6 +13,7 @@ property suites, `cli` the command-line front end.
 
 from .matrices import (
     BUILTIN_NAMES,
+    FusionlabError,
     MalformedInputError,
     NotUnitaryError,
     builtin,

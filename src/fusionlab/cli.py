@@ -221,13 +221,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        matrices.MalformedInputError,
-        matrices.NotUnitaryError,
-        oracle.TooManyQubits,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (matrices.FusionlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fusion import Outcome, relevant_probabilities, channel_invariants, _PI, _PJ
-from .matrices import validate_unitary
+from .matrices import FusionlabError, validate_unitary
 
 __all__ = [
     "ZeroProbabilityOutcomeError",
@@ -52,11 +52,11 @@ BOUNDARY_SNAP = 1e-13
 _LN2 = float(np.log(2.0))
 
 
-class ZeroProbabilityOutcomeError(ValueError):
+class ZeroProbabilityOutcomeError(FusionlabError, ValueError):
     """The requested quantity is undefined for a zero-probability outcome."""
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(FusionlabError, ValueError):
     """A determinant landed outside [0, 1/4] beyond rounding tolerance."""
 
 
@@ -86,6 +86,25 @@ def determinant(outcome: Outcome) -> float:
     return float(abs(outcome.a * outcome.d - outcome.b * outcome.c) ** 2)
 
 
+def _minors(x, y):
+    """x_i y_j - x_j y_i over the six relevant pairs (i, j), shape (..., 6)."""
+    return x[..., _PI] * y[..., _PJ] - x[..., _PJ] * y[..., _PI]
+
+
+def _determinants(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """`determinants_from_matrix` for a batch whose relevant probabilities p
+    the caller already holds.
+
+    The second factor is written with the opposite sign; it enters squared.
+    """
+    top = _minors(u[..., 0, :], u[..., 1, :])
+    bot = _minors(u[..., 2, :], u[..., 3, :])
+    num = np.abs(top * bot) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.where(p > 0.0, num / np.maximum(4.0 * p, 1e-300) ** 2, 0.0)
+    return np.clip(det, 0.0, DET_MAX)
+
+
 def determinants_from_matrix(matrix) -> np.ndarray:
     """All six relevant-outcome determinants via the factored identity.
 
@@ -96,14 +115,7 @@ def determinants_from_matrix(matrix) -> np.ndarray:
     `determinant` and serves as a cross-check of both.
     """
     u = np.asarray(matrix, dtype=complex)
-    p = relevant_probabilities(u)
-    r1, r2, r3, r4 = (u[..., r, :] for r in range(4))
-    top = r1[..., _PI] * r2[..., _PJ] - r1[..., _PJ] * r2[..., _PI]
-    bot = r3[..., _PJ] * r4[..., _PI] - r3[..., _PI] * r4[..., _PJ]
-    num = np.abs(top * bot) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.where(p > 0.0, num / np.maximum(4.0 * p, 1e-300) ** 2, 0.0)
-    return np.clip(det, 0.0, DET_MAX)
+    return _determinants(u, relevant_probabilities(u))
 
 
 def determinant_from_matrix(matrix, i: int, j: int) -> float:
@@ -162,6 +174,24 @@ def entropy_from_det(det, base: str = "bits"):
     """Entanglement entropy straight from the determinant (scalar or array)."""
     lam_hi, _ = eigenvalues_from_det(det)
     return entropy(lam_hi, base=base)
+
+
+def _entropy_slope(det):
+    """dS/ddet in bits: log2(lam+ / lam-) / sqrt(1 - 4 det), elementwise.
+
+    lam+ / lam- is taken as lam+^2 / det, floored at the smallest normal
+    float so that product states (det = 0) keep a finite slope.  Near
+    det = 1/4 the series 2 (1 + r^2 / 3) / ln 2 in r = sqrt(1 - 4 det)
+    replaces the 0/0 quotient; its truncation error at the switch r = 1e-4
+    is below 1e-16.
+    """
+    d = np.clip(np.asarray(det, dtype=float), 0.0, DET_MAX)
+    root = np.sqrt(1.0 - 4.0 * d)
+    near = root < 1e-4
+    lam_hi = 0.5 * (1.0 + root)
+    log_ratio = np.log(lam_hi**2 / np.maximum(d, np.finfo(float).tiny))
+    slope = np.where(near, 2.0 * (1.0 + root**2 / 3.0), log_ratio / np.where(near, 1.0, root))
+    return slope / _LN2
 
 
 def entropies_from_matrix(matrix, base: str = "bits") -> np.ndarray:

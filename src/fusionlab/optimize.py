@@ -3,9 +3,15 @@
 Expectation mode maximizes the probability-weighted entanglement entropy
 <S> = sum p_ij S_ij at a pinned total success probability; threshold mode
 maximizes P(s) = sum of probabilities of outcomes whose entropy reaches a
-target s.  Both run momentum gradient descent with central finite differences
-in the 16-dimensional exp(iH) parameterization, restarted from the best of a
-Haar-scored candidate pool; all restarts advance together as one numpy batch.
+target s.  Both run momentum gradient descent in the 16-dimensional exp(iH)
+parameterization, restarted from the best of a scored candidate pool; all
+restarts advance together as one numpy batch.
+
+Gradients are exact and forward-mode, one eigendecomposition of H per restart
+and iteration: the 16 generator directions are pushed through exp(iH) with
+the Daleckii-Krein divided-difference formula (Najfeld & Havel, Adv. Appl.
+Math. 16, 1995), and the closed forms of p_ij, of the factored determinant
+det_ij and of S(det) are differentiated along each direction (`_tangents`).
 
 P(s) is a sum of indicator terms, so its descent runs on a logistic-smoothed
 surrogate with the temperature annealed downward; reported values are always
@@ -23,11 +29,14 @@ through matrices with determinant 1/4 - O(1e-10) whose entropy rounds below
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import entanglement, fusion, matrices
+from .fusion import _PI, _PJ
 
 __all__ = [
     "BASELINE",
@@ -83,15 +92,14 @@ class OptimizerConfig:
     init_samples: int = 100
     iterations: int = 1000
     step: float = 1e-3
-    fd_epsilon: float = 1e-5
     master_seed: int = 0
     anneal_schedule: tuple[float, ...] = (0.1, 0.01, 0.001)
 
     def __post_init__(self):
         if min(self.restarts, self.init_samples, self.iterations) < 1:
             raise ValueError("restarts, init_samples and iterations must be >= 1")
-        if self.step <= 0 or self.fd_epsilon <= 0:
-            raise ValueError("step and fd_epsilon must be positive")
+        if self.step <= 0:
+            raise ValueError("step must be positive")
         if not self.anneal_schedule:
             raise ValueError("anneal schedule must not be empty")
 
@@ -125,12 +133,35 @@ class OptResult:
 # objectives
 
 
+def _p_and_s(u: np.ndarray):
+    """Relevant probabilities and entropies of a matrix batch, p computed once."""
+    p = fusion.relevant_probabilities(u)
+    return p, entanglement.entropy_from_det(entanglement._determinants(u, p))
+
+
+def _diag_total(u: np.ndarray) -> np.ndarray:
+    return np.sum(fusion.diag_probabilities(u), axis=-1)
+
+
+def _hard_threshold(p_rel, s, s_target: float, p_diag=None):
+    """P(s) from the relevant outcomes' p and S; the same-channel total
+    `p_diag` (S = 0) counts only at s_target <= 0, where it must be given."""
+    total = np.sum(np.where(s >= s_target, p_rel, 0.0), axis=-1)
+    if s_target <= 0.0:
+        total = total + p_diag
+    return np.clip(total, 0.0, 1.0)
+
+
+def _S_exp_p_total(u: np.ndarray):
+    """(<S>, p_total) of a matrix batch."""
+    p, s = _p_and_s(u)
+    return np.sum(p * s, axis=-1), np.sum(p, axis=-1)
+
+
 def expectation_entropy(matrix):
     """<S> in bits: probability-weighted entropy over the six relevant outcomes."""
     u = np.asarray(matrix, dtype=complex)
-    s = entanglement.entropies_from_matrix(u)
-    p = fusion.relevant_probabilities(u)
-    out = np.sum(p * s, axis=-1)
+    out, _ = _S_exp_p_total(u)
     return float(out) if u.ndim == 2 else out
 
 
@@ -141,12 +172,9 @@ def threshold_probability(matrix, s_target_bits: float):
     S = 0 and therefore enter only at s_target <= 0 (where P = 1).
     """
     u = np.asarray(matrix, dtype=complex)
-    s = entanglement.entropies_from_matrix(u)
-    p_rel = fusion.relevant_probabilities(u)
-    total = np.sum(np.where(s >= s_target_bits, p_rel, 0.0), axis=-1)
-    if s_target_bits <= 0.0:
-        total = total + np.sum(fusion.diag_probabilities(u), axis=-1)
-    total = np.clip(total, 0.0, 1.0)
+    p_rel, s = _p_and_s(u)
+    p_diag = _diag_total(u) if s_target_bits <= 0.0 else None
+    total = _hard_threshold(p_rel, s, s_target_bits, p_diag)
     return float(total) if u.ndim == 2 else total
 
 
@@ -162,8 +190,7 @@ def cost_threshold(matrix, s_target_bits: float, tau: float):
     if tau <= 0:
         raise ValueError("tau must be positive")
     u = np.asarray(matrix, dtype=complex)
-    s = entanglement.entropies_from_matrix(u)
-    p_rel = fusion.relevant_probabilities(u)
+    p_rel, s = _p_and_s(u)
     p_diag = fusion.diag_probabilities(u)
     sig_rel = _logistic((s - s_target_bits) / tau)
     sig_diag = _logistic((0.0 - s_target_bits) / tau)
@@ -176,27 +203,99 @@ def _logistic(x):
 
 
 def _states_used(matrix, s_ref: float) -> int:
-    s = entanglement.entropies_from_matrix(matrix)
-    p = fusion.relevant_probabilities(matrix)
+    p, s = _p_and_s(matrix)
     return int(np.sum((p > STATES_P_FLOOR) & (s >= s_ref - 1e-9)))
 
 
 # ---------------------------------------------------------------------------
+# exact gradients
+
+
+class _Tangents(NamedTuple):
+    """Objective pieces of a restart batch and their 16 partial derivatives.
+
+    p, s: (R, 6) relevant probabilities and entropies, computed exactly as
+    the hard objectives compute them; dp: (R, 16, 6) partials of p; pds:
+    (R, 16, 6) p times the partials of S, which stays finite as p -> 0;
+    p_diag, dp_diag: (R,) same-channel total and (R, 16) its partials, or
+    None when not requested.
+    """
+
+    p: np.ndarray
+    s: np.ndarray
+    dp: np.ndarray
+    pds: np.ndarray
+    p_diag: np.ndarray | None
+    dp_diag: np.ndarray | None
+
+
+def _tangents(theta: np.ndarray, diag: bool = False) -> _Tangents:
+    """Forward-mode derivatives of p, S (and the same-channel total) at theta.
+
+    One eigh per restart: `matrices._exp_jvp` gives U and dU_k, and the
+    closed forms are differentiated along each dU_k:
+
+      p_ij = 1/8 - n_i n_j / 2 - |o_ij|^2 / 2,  n_i = 1/2 - |U_1i|^2 - |U_2i|^2,
+          o_ij = U_1i conj(U_1j) + U_2i conj(U_2j);
+      det_ij = |top_ij bot_ij|^2 / (4 p_ij)^2 with top, bot the minors of
+          rows (1, 2) and (3, 4), so p d(det) = d|top bot|^2 / (16 p)
+          - 2 det dp, zero where p = 0;
+      dS = S'(det) d(det) with S' = `entanglement._entropy_slope`;
+      sum_i p_ii = 1/2 - sum_i n_i^2 / 2, so its partial is -sum_i n_i dn_i.
+    """
+    u, du = matrices._exp_jvp(theta)
+    p = fusion.relevant_probabilities(u)
+    det = entanglement._determinants(u, p)
+    s = entanglement.entropy_from_det(det)
+    x = u[:, None]  # broadcasts against the direction axis of du
+    r12, dr12 = x[..., :2, :], du[..., :2, :]
+    n = 0.5 - np.sum(np.abs(r12) ** 2, axis=-2)
+    dn = -2.0 * np.sum((r12.conj() * dr12).real, axis=-2)
+    o = np.sum(r12[..., _PI] * r12[..., _PJ].conj(), axis=-2)
+    do = np.sum(
+        dr12[..., _PI] * r12[..., _PJ].conj() + r12[..., _PI] * dr12[..., _PJ].conj(), axis=-2
+    )
+    dp = -0.5 * (dn[..., _PI] * n[..., _PJ] + n[..., _PI] * dn[..., _PJ]) - (o.conj() * do).real
+
+    minors = entanglement._minors
+    rows, drows = [x[..., r, :] for r in range(4)], [du[..., r, :] for r in range(4)]
+    top = minors(rows[0], rows[1])
+    bot = minors(rows[2], rows[3])
+    dtop = minors(drows[0], rows[1]) + minors(rows[0], drows[1])
+    dbot = minors(drows[2], rows[3]) + minors(rows[2], drows[3])
+    dnum = 2.0 * (
+        (top.conj() * dtop).real * np.abs(bot) ** 2
+        + np.abs(top) ** 2 * (bot.conj() * dbot).real
+    )
+    live = (p > 0.0)[:, None]
+    det = det[:, None]
+    p_ddet = np.where(live, dnum / (16.0 * np.where(live, p[:, None], 1.0)) - 2.0 * det * dp, 0.0)
+    pds = entanglement._entropy_slope(det) * p_ddet
+
+    p_diag = dp_diag = None
+    if diag:
+        p_diag = _diag_total(u)
+        dp_diag = -np.sum(n * dn, axis=-1)
+    return _Tangents(p, s, dp, pds, p_diag, dp_diag)
+
+
+def _expectation_grads(t: _Tangents):
+    """(d<S>, dp_total), each (R, 16)."""
+    return np.sum(t.dp * t.s[:, None] + t.pds, axis=-1), np.sum(t.dp, axis=-1)
+
+
+def _threshold_grad(t: _Tangents, s_target: float, tau: float):
+    """Partials (R, 16) of the surrogate sum p sigma((S - s) / tau), plus
+    sigma(-s / tau) times the same-channel total at s <= 0."""
+    sig = _logistic((t.s - s_target) / tau)[:, None]
+    g = np.sum(t.dp * sig + t.pds * (sig * (1.0 - sig) / tau), axis=-1)
+    if s_target <= 0.0:
+        g = g + _logistic(-s_target / tau) * t.dp_diag
+    return g
+
+
+# ---------------------------------------------------------------------------
 # descent engine
-
-
-def _fd_points(theta: np.ndarray, eps: float) -> np.ndarray:
-    """(R, 16) -> (R, 33, 16): +eps/-eps along each coordinate plus the center."""
-    eye = np.eye(16)
-    offsets = np.concatenate([eye * eps, -eye * eps, np.zeros((1, 16))])
-    return theta[:, None, :] + offsets[None, :, :]
-
-
-def _eval_S_p(theta_pts: np.ndarray):
-    u = matrices.from_params(theta_pts)
-    s = entanglement.entropies_from_matrix(u)
-    p_rel = fusion.relevant_probabilities(u)
-    return np.sum(p_rel * s, axis=-1), np.sum(p_rel, axis=-1)
 
 
 def _init_pool(rng, cfg: OptimizerConfig, warm_start) -> np.ndarray:
@@ -222,7 +321,7 @@ def _optimize_expectation(
     rng = np.random.default_rng(cfg.master_seed)
     R = cfg.restarts
     cand = _init_pool(rng, cfg, warm_start)
-    S0, p0 = _eval_S_p(cand.reshape(-1, 16))
+    S0, p0 = _S_exp_p_total(matrices.from_params(cand.reshape(-1, 16)))
     score0 = (S0 - L1_BETA * np.abs(p0 - obj.p_target)).reshape(R, -1)
     theta = cand[np.arange(R), np.argmax(score0, axis=1)]
     vel = np.zeros_like(theta)
@@ -235,12 +334,10 @@ def _optimize_expectation(
 
     phase_a = cfg.iterations // 3
     for it in range(cfg.iterations):
-        S, p = _eval_S_p(_fd_points(theta, cfg.fd_epsilon).reshape(-1, 16))
-        S = S.reshape(R, 33)
-        p = p.reshape(R, 33)
-        gS = (S[:, :16] - S[:, 16:32]) / (2 * cfg.fd_epsilon)
-        gp = (p[:, :16] - p[:, 16:32]) / (2 * cfg.fd_epsilon)
-        S_c, p_c = S[:, 32], p[:, 32]
+        t = _tangents(theta)
+        S_c = np.sum(t.p * t.s, axis=-1)
+        p_c = np.sum(t.p, axis=-1)
+        gS, gp = _expectation_grads(t)
         trace[it] = S_c
 
         feas = np.abs(p_c - obj.p_target) <= FEASIBLE_BAND
@@ -263,12 +360,12 @@ def _optimize_expectation(
 
     have = best_feas_S > -np.inf
     finals = np.where(have[:, None], best_feas_theta, best_gap_theta)
-    S_f, p_f = _eval_S_p(finals)
+    S_f, p_f = _S_exp_p_total(matrices.from_params(finals))
     restart_values = tuple(float(v) for v in S_f)
 
     # merge the exact builtin candidates
     names, mats = _builtin_candidates()
-    S_b, p_b = _eval_S_p_from_matrices(mats)
+    S_b, p_b = _S_exp_p_total(mats)
     feas_b = np.abs(p_b - obj.p_target) <= FEASIBLE_BAND
 
     cand_S = np.concatenate([S_b, S_f])
@@ -311,25 +408,6 @@ def _optimize_expectation(
     )
 
 
-def _eval_S_p_from_matrices(mats: np.ndarray):
-    s = entanglement.entropies_from_matrix(mats)
-    p_rel = fusion.relevant_probabilities(mats)
-    return np.sum(p_rel * s, axis=-1), np.sum(p_rel, axis=-1)
-
-
-def _threshold_eval(u: np.ndarray, s_target: float, tau: float):
-    """Smoothed and hard threshold sums from one shared matrix batch."""
-    s = entanglement.entropies_from_matrix(u)
-    p_rel = fusion.relevant_probabilities(u)
-    smooth = np.sum(p_rel * _logistic((s - s_target) / tau), axis=-1)
-    hard = np.sum(np.where(s >= s_target, p_rel, 0.0), axis=-1)
-    if s_target <= 0.0:
-        p_diag = np.sum(fusion.diag_probabilities(u), axis=-1)
-        smooth = smooth + _logistic(-s_target / tau) * p_diag
-        hard = np.clip(hard + p_diag, 0.0, 1.0)
-    return smooth, hard
-
-
 def _optimize_threshold(
     obj: ThresholdProbability, cfg: OptimizerConfig, warm_start=None
 ) -> OptResult:
@@ -341,7 +419,7 @@ def _optimize_threshold(
     )
 
     cand = _init_pool(rng, cfg, warm_start)
-    _, P0 = _threshold_eval(matrices.from_params(cand.reshape(-1, 16)), s_target, taus[0])
+    P0 = threshold_probability(matrices.from_params(cand.reshape(-1, 16)), s_target)
     P0 = P0.reshape(R, -1)
     theta = cand[np.arange(R), np.argmax(P0, axis=1)]
     vel = np.zeros_like(theta)
@@ -352,12 +430,9 @@ def _optimize_threshold(
     seg = max(cfg.iterations // len(taus), 1)
     for it in range(cfg.iterations):
         tau = taus[min(it // seg, len(taus) - 1)]
-        u = matrices.from_params(_fd_points(theta, cfg.fd_epsilon).reshape(-1, 16))
-        smooth, hard = _threshold_eval(u, s_target, tau)
-        smooth = smooth.reshape(R, 33)
-        hard = hard.reshape(R, 33)
-        grad = -(smooth[:, :16] - smooth[:, 16:32]) / (2 * cfg.fd_epsilon)
-        hard_c = hard[:, 32]
+        t = _tangents(theta, diag=s_target <= 0.0)
+        grad = -_threshold_grad(t, s_target, tau)
+        hard_c = _hard_threshold(t.p, t.s, s_target, t.p_diag)
         trace[it] = hard_c
         upd = hard_c > best_hard
         best_hard = np.where(upd, hard_c, best_hard)
@@ -365,7 +440,7 @@ def _optimize_threshold(
         vel = MOMENTUM * vel - cfg.step * grad
         theta = theta + vel
     # the post-step endpoints were never scored inside the loop
-    _, hard_end = _threshold_eval(matrices.from_params(theta), s_target, taus[-1])
+    hard_end = threshold_probability(matrices.from_params(theta), s_target)
     upd = hard_end > best_hard
     best_hard = np.where(upd, hard_end, best_hard)
     best_theta[upd] = theta[upd]
@@ -373,7 +448,7 @@ def _optimize_threshold(
     restart_values = tuple(float(v) for v in best_hard)
 
     names, mats = _builtin_candidates()
-    _, P_b = _threshold_eval(mats, s_target, taus[-1])
+    P_b = threshold_probability(mats, s_target)
     cand_P = np.concatenate([P_b, best_hard])
     pick = int(np.argmax(cand_P))
     # prefer an exact builtin over a descent point it beats only by float noise
@@ -407,6 +482,10 @@ def _optimize_threshold(
 
 def optimize(objective, config: OptimizerConfig | None = None, warm_start=None) -> OptResult:
     """Run the full restart descent for one objective.
+
+    Each iteration takes the exact gradient of the objective (the smoothed
+    surrogate in threshold mode) from one eigendecomposition of the
+    generator per restart; see the module docstring.
 
     Deterministic for a given config: every random draw derives from
     `master_seed`, restarts advance in one batch, and ties in the final
@@ -446,15 +525,7 @@ def sweep(
     for step_idx, k in enumerate(order):
         tgt = targets[k]
         seed_k = cfg.master_seed + 7919 * step_idx
-        cfg_k = OptimizerConfig(
-            restarts=cfg.restarts,
-            init_samples=cfg.init_samples,
-            iterations=cfg.iterations,
-            step=cfg.step,
-            fd_epsilon=cfg.fd_epsilon,
-            master_seed=seed_k,
-            anneal_schedule=cfg.anneal_schedule,
-        )
+        cfg_k = dataclasses.replace(cfg, master_seed=seed_k)
         obj = (
             ExpectationEntropy(p_target=tgt, alpha=alpha)
             if kind == "expectation"
@@ -489,7 +560,7 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
     rng = np.random.default_rng(seed)
     u = matrices.haar_sample(rng, size=n)
     if mode == "expectation":
-        s_exp, p_tot = _eval_S_p_from_matrices(u)
+        s_exp, p_tot = _S_exp_p_total(u)
         rows = [(float(p), float(s)) for p, s in zip(p_tot, s_exp)]
         summary = {
             "n": n,
@@ -504,8 +575,10 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
             s_targets = [k / 10 for k in range(11)]
         rows = []
         summary = {"n": n, "targets": {}}
+        p_rel, s_rel = _p_and_s(u)
+        p_diag = _diag_total(u) if any(float(s) <= 0.0 for s in s_targets) else None
         for s in s_targets:
-            P = threshold_probability(u, float(s))
+            P = _hard_threshold(p_rel, s_rel, float(s), p_diag)
             rows.extend((float(s), float(v)) for v in P)
             summary["targets"][float(s)] = {
                 "P_mean": float(np.mean(P)),

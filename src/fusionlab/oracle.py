@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import OUTCOME_ORDER, Outcome, OutcomeTable
-from .matrices import MalformedInputError, validate_unitary
+from .matrices import FusionlabError, MalformedInputError, validate_unitary
 
 __all__ = [
     "MAX_QUBITS",
@@ -58,11 +58,11 @@ MAX_QUBITS = 14
 _SQRT2 = np.sqrt(2.0)
 
 
-class TooManyQubits(Exception):
+class TooManyQubits(FusionlabError):
     """Dense simulation refuses registers above MAX_QUBITS."""
 
 
-class ZeroOverlap(Exception):
+class ZeroOverlap(FusionlabError):
     """A projection annihilated the state."""
 
 
@@ -498,7 +498,8 @@ def check_Te_stabilizer(
     """Verify the stabilizer structure of a fused state with phase `phi`.
 
     The carrier qubit's generator is T_e prod_{c in n(a) U n(b)} Z_c with
-    T_e = [[0, e^{-i phi}], [e^{i phi}, 0]], required at eigenvalue +1.  Every
+    T_e = [[0, e^{-i phi}], [e^{i phi}, 0]], required at eigenvalue
+    (-1)^{k_a + k_b}: a sign flag on either fused qubit carries over.  Every
     other vertex must satisfy its ordinary fused-graph stabilizer at
     (-1)^{k_v}; vertices adjacent to the measured qubit b may instead sit at
     the opposite sign, since one family of fusion outcomes imprints Z
@@ -526,7 +527,8 @@ def check_Te_stabilizer(
     idx1[e_axis] = 1
     work[tuple(idx0)] *= np.exp(-1j * phi)
     work[tuple(idx1)] *= np.exp(1j * phi)
-    if np.max(np.abs(work - state)) > tol:
+    carrier_sign = (-1.0) ** (scenario.left.k_flags[scenario.a] + scenario.right.k_flags[scenario.b])
+    if np.max(np.abs(work - carrier_sign * state)) > tol:
         return False
 
     flip_allowed = {right_axes[c] for c in scenario.right.neighbors(scenario.b)}

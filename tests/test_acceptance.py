@@ -4,7 +4,9 @@ Each test covers one headline guarantee of the package, prints a single
 PASS/FAIL line with the measured numbers, and enforces the stated tolerance
 and runtime budget.  Run with ``pytest -v tests/test_acceptance.py`` (add
 ``-s`` to watch the lines appear live); the full module takes a few minutes
-because four tests run the optimizer at its default configuration.
+because four tests run the optimizer at its default configuration.  Every
+test carries the ``acceptance`` marker, so ``pytest -m "not acceptance"``
+runs the rest of the suite alone.
 """
 import json
 import time
@@ -15,6 +17,8 @@ import pytest
 from fusionlab import entanglement, fusion, matrices, optimize as opt, oracle
 from fusionlab.classify import classify, is_stabilizer, is_weighted_graph
 from fusionlab.cli import main
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(ok: bool, name: str, detail: str) -> bool:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fusionlab import matrices
+from fusionlab import fusion, matrices
 from fusionlab.cli import main
 
 
@@ -87,6 +87,26 @@ def test_analyze_rejects_non_unitary(tmp_path, capsys):
     bad.write_text(json.dumps({"matrix": [[[1.0, 0.0]] * 4] * 4}))
     assert main(["analyze", "--matrix", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_accepts_near_unitary_matrix(tmp_path, capsys):
+    """A matrix that passes validate_unitary gets a report, not a traceback."""
+    u = matrices.builtin("pbs2") + 4e-11 * np.random.default_rng(0).normal(size=(4, 4))
+    assert 1e-11 < np.abs(u.conj().T @ u - np.eye(4)).max() <= matrices.UNITARY_TOL
+    path = tmp_path / "near.json"
+    matrices.save_matrix(str(path), u)
+    assert main(["analyze", "--matrix", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["total_relevant_probability"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_library_errors_exit_2(monkeypatch, capsys):
+    def broken(matrix):
+        raise fusion.InconsistentProbabilityError("probability -1 outside [0, 1/4]")
+
+    monkeypatch.setattr(fusion, "outcome_table", broken)
+    assert main(["analyze", "--matrix", "pbs2"]) == 2
+    assert "error: probability -1" in capsys.readouterr().err
 
 
 def test_analyze_rejects_missing_file(capsys):

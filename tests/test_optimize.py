@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusionlab import fusion, matrices, optimize as opt
+from fusionlab import entanglement, fusion, matrices, optimize as opt
 from fusionlab.optimize import (
     BASELINE,
     ExpectationEntropy,
@@ -88,8 +88,6 @@ def test_config_validation():
         OptimizerConfig(iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(step=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(fd_epsilon=-1e-5)
     with pytest.raises(ValueError):
         OptimizerConfig(anneal_schedule=())
 
@@ -250,3 +248,142 @@ def test_random_scatter_matches_direct_evaluation():
     u = matrices.haar_sample(np.random.default_rng(11), size=8)
     assert rows[0][1] == pytest.approx(expectation_entropy(u[0]), abs=1e-12)
     assert rows[0][0] == pytest.approx(fusion.total_relevant_probability(u[0]), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact gradients against finite differences (the reference lives here only)
+
+FD_FLOOR = 1e-9  # gradient size below which differences resolve only rounding noise
+FD_STEPS = 10.0 ** -np.arange(2.0, 8.0)
+NEAR_BUILTIN = {"pbs2": 1e-2, "blockpair": 1e-1}  # offsets with a usable FD reference
+
+
+def _fd_grad(f, theta, h):
+    """Fourth-order central differences of f along each of the 16 parameters."""
+    g = np.empty(theta.shape)
+    for k in range(16):
+        e = np.zeros(16)
+        e[k] = h
+        near = f(theta + e) - f(theta - e)
+        far = f(theta + 2 * e) - f(theta - 2 * e)
+        g[..., k] = (8.0 * near - far) / (12.0 * h)
+    return g
+
+
+def _assert_matches_fd(grad, f, theta):
+    """Compare with finite differences wherever they are well conditioned.
+
+    Differences are taken on a ladder of steps; at each point the two
+    neighbouring steps that agree best give the reference, which counts as
+    well conditioned when they agree to 1e-8 of the gradient's size.  There
+    the gradient must agree to 1e-6.  Returns the mask of conditioned points.
+    """
+    fds = np.stack([_fd_grad(f, theta, h) for h in FD_STEPS])
+    gaps = np.abs(fds[1:] - fds[:-1]).max(axis=-1)
+    best = np.argmin(gaps, axis=0)
+    pts = np.arange(len(theta))
+    ref = fds[best + 1, pts]
+    scale = np.maximum(np.abs(ref).max(axis=-1), FD_FLOOR)
+    conditioned = gaps[best, pts] <= 1e-8 * scale
+    err = np.abs(grad - ref).max(axis=-1) / scale
+    assert np.all(err[conditioned] <= 1e-6), err[conditioned]
+    return conditioned
+
+
+def _gradient_points(group):
+    rng = np.random.default_rng(2024)
+    if group == "random":
+        return matrices.random_params(rng, size=6)
+    base = matrices.params_from_matrix(matrices.builtin(group))
+    return base + NEAR_BUILTIN[group] * rng.normal(size=(4, 16))
+
+
+def _smooth_threshold(theta, s_target, tau):
+    u = matrices.from_params(theta)
+    p, s = opt._p_and_s(u)
+    out = np.sum(p * opt._logistic((s - s_target) / tau), axis=-1)
+    if s_target <= 0.0:
+        out = out + opt._logistic(-s_target / tau) * np.sum(fusion.diag_probabilities(u), axis=-1)
+    return out
+
+
+def _assert_covered(masks, group):
+    """Random points must nearly all be conditioned; near a builtin some must."""
+    share = np.mean(masks)
+    assert share >= (0.9 if group == "random" else 0.25), share
+
+
+@pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
+def test_expectation_gradient_matches_finite_differences(group):
+    theta = _gradient_points(group)
+    g_S, g_p = opt._expectation_grads(opt._tangents(theta))
+    masks = [
+        _assert_matches_fd(g_S, lambda x: opt._S_exp_p_total(matrices.from_params(x))[0], theta),
+        _assert_matches_fd(g_p, lambda x: opt._S_exp_p_total(matrices.from_params(x))[1], theta),
+    ]
+    _assert_covered(masks, group)
+
+
+@pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
+@pytest.mark.parametrize("s_target", [0.0, 0.5, 1.0])
+def test_threshold_gradient_matches_finite_differences(group, s_target):
+    theta = _gradient_points(group)
+    t = opt._tangents(theta, diag=s_target <= 0.0)
+    masks = [
+        _assert_matches_fd(
+            opt._threshold_grad(t, s_target, tau),
+            lambda x: _smooth_threshold(x, s_target, tau),
+            theta,
+        )
+        for tau in OptimizerConfig().anneal_schedule
+    ]
+    _assert_covered(masks, group)
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_BUILTIN))
+def test_outcome_derivatives_near_builtins(name):
+    """Per-outcome dp and dS next to pbs2 (det -> 1/4 on its four live
+    outcomes) and blockpair (det -> 0 with p_total -> 1)."""
+    theta = _gradient_points(name)
+    t = opt._tangents(theta)
+    live = t.p > 0.1  # the outcomes that fire at the builtin itself
+    masks = []
+    for j in range(6):
+        def p_j(x):
+            return opt._p_and_s(matrices.from_params(x))[0][..., j]
+
+        def s_j(x):
+            return opt._p_and_s(matrices.from_params(x))[1][..., j]
+
+        ok_p = _assert_matches_fd(t.dp[..., j], p_j, theta)
+        ok_s = _assert_matches_fd(t.pds[..., j] / t.p[:, None, j], s_j, theta)
+        masks += [ok_p[live[:, j]], ok_s[live[:, j]]]
+    assert np.mean(np.concatenate(masks)) >= 0.75
+
+
+def test_gradients_finite_at_builtins():
+    """Exact builtins sit on p = 0 outcomes, det in {0, 1/4} and repeated
+    generator eigenvalues (identity: H = 0); every gradient stays finite."""
+    theta = np.stack([matrices.params_from_matrix(matrices.builtin(nm)) for nm in matrices.BUILTIN_NAMES])
+    t = opt._tangents(theta, diag=True)
+    assert set(t.p[matrices.BUILTIN_NAMES.index("identity")]) == {0.0, 0.25}
+    grads = list(opt._expectation_grads(t))
+    for s_target in (0.0, 0.5, 1.0):
+        grads += [opt._threshold_grad(t, s_target, tau) for tau in OptimizerConfig().anneal_schedule]
+    for g in grads:
+        assert g.shape == (len(theta), 16)
+        assert np.all(np.isfinite(g))
+
+
+def test_entropy_slope():
+    """dS/ddet against the independent form 2 artanh(r) / (r ln 2),
+    r = sqrt(1 - 4 det), on both sides of the series switch at r = 1e-4,
+    with a finite value at det = 0 and the limit 2 / ln 2 at det = 1/4."""
+    det = np.array([1e-6, 0.01, 0.1, 0.2, 0.249, 0.25 - 1e-6, 0.25 - 5e-9, 0.25 - 1e-9])
+    r = np.sqrt(1.0 - 4.0 * det)
+    assert r[-2] > 1e-4 > r[-1]
+    expected = 2.0 * np.arctanh(r) / (r * np.log(2.0))
+    assert entanglement._entropy_slope(det) == pytest.approx(expected, rel=1e-9)
+    edges = entanglement._entropy_slope(np.array([0.0, 0.25]))
+    assert np.all(np.isfinite(edges))
+    assert edges[1] == 2.0 / np.log(2.0)

@@ -244,6 +244,26 @@ def test_te_stabilizer_verdict():
         check_Te_stabilizer(run.state, _two_path_scenario(logical_partner=False), 0.0)
 
 
+@pytest.mark.parametrize("k_a, k_b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_te_stabilizer_carries_fused_qubit_flags(k_a, k_b):
+    """A sign flag on either fused qubit flips the carrier eigenvalue; flags
+    on both cancel."""
+    sc = FusionScenario(
+        left=graph(3, [(0, 1), (1, 2)], [0, k_a, 0]),
+        a=1,
+        right=graph(3, [(0, 1), (1, 2)], [k_b, 0, 0]),
+        b=0,
+    )
+    u = matrices.builtin("theorem7")
+    report = compare_scenario(sc, u)
+    checks = [r["stabilizer_check"] for r in report["outcomes"] if "stabilizer_check" in r]
+    assert checks == [True] * 4
+    assert report["pass"] is True
+    run = fuse(sc, fusion.outcome_coefficients(u, 1, 2).raw)
+    assert check_Te_stabilizer(run.state, sc, 0.0)
+    assert not check_Te_stabilizer(run.state, sc, np.pi)
+
+
 def test_weighted_graph_verdict():
     # projecting onto a weighted-graph-form state must leave the fused edge
     # carrying exactly the chi extracted from the coefficients
