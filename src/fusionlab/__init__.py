@@ -70,8 +70,6 @@ from .optimize import (
     OptimizerConfig,
     OptResult,
     ThresholdProbability,
-    cost_expectation,
-    cost_threshold,
     expectation_entropy,
     random_scatter,
     sweep,

@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized property suites")
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--suite", action="append", help="restrict to named suites; repeatable")
     p.add_argument(
         "--inject-fault",
@@ -190,7 +189,6 @@ def _cmd_verify(args) -> int:
     results = verify.run_suites(
         trials=args.trials,
         seed=args.seed,
-        tol=args.tol,
         inject_fault=args.inject_fault,
         names=args.suite,
     )

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
+
+from . import reports
 
 __all__ = [
     "FusionlabError",
@@ -359,17 +360,7 @@ def matrix_from_json(obj, tol: float = UNITARY_TOL) -> np.ndarray:
 
 def save_matrix(path, matrix) -> None:
     """Write the JSON encoding atomically (temp file + rename)."""
-    payload = json.dumps(matrix_to_json(matrix), indent=2) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    reports.atomic_write_text(path, json.dumps(matrix_to_json(matrix), indent=2) + "\n")
 
 
 def load_matrix(path, tol: float = UNITARY_TOL) -> np.ndarray:

@@ -3,9 +3,13 @@
 Expectation mode maximizes the probability-weighted entanglement entropy
 <S> = sum p_ij S_ij at a pinned total success probability; threshold mode
 maximizes P(s) = sum of probabilities of outcomes whose entropy reaches a
-target s.  Both run momentum gradient descent in the 16-dimensional exp(iH)
-parameterization, restarted from the best of a scored candidate pool; all
-restarts advance together as one numpy batch.
+target s.  One engine (`_descend`) runs both: momentum gradient descent in
+the 16-dimensional exp(iH) parameterization, restarted from the best of a
+scored candidate pool, with all restarts advancing together as one numpy
+batch.  An objective supplies only its hard value, its signed gap
+p_total - p_target (0 in threshold mode) and its phase schedule of
+gradients; the engine owns pool scoring, best-point tracking and the final
+merge with the builtin matrices.
 
 Gradients are exact and forward-mode, one eigendecomposition of H per restart
 and iteration: the 16 generator directions are pushed through exp(iH) with
@@ -14,13 +18,13 @@ Math. 16, 1995), and the closed forms of p_ij, of the factored determinant
 det_ij and of S(det) are differentiated along each direction (`_tangents`).
 
 P(s) is a sum of indicator terms, so its descent runs on a logistic-smoothed
-surrogate with the temperature annealed downward; reported values are always
-the hard objective, recomputed from the winning matrix.  The probability
-constraint in expectation mode starts as the quadratic penalty
-alpha (p - p_target)^2 and, for the final two thirds of the iterations,
-switches to an exact L1 penalty beta |p - p_target| with beta = 2: the
-frontier's slope is about -1, so the quadratic equilibrium undershoots the
-target by ~ alpha^-1 step sizes while the L1 penalty pins it.
+surrogate with the temperature annealed through `ANNEAL_SCHEDULE`; reported
+values are always the hard objective, recomputed from the winning matrix.
+The probability constraint in expectation mode starts as the quadratic
+penalty alpha (p - p_target)^2 and, for the final two thirds of the
+iterations, switches to an exact L1 penalty beta |p - p_target| with
+beta = 2: the frontier's slope is about -1, so the quadratic equilibrium
+undershoots the target by ~ alpha^-1 step sizes while the L1 penalty pins it.
 
 Known exact optima (the builtin matrices) join the candidate pool of every
 run.  They matter at the boundaries: descent approaches the s = 1 optimum
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,25 +43,31 @@ from . import entanglement, fusion, matrices
 from .fusion import _PI, _PJ
 
 __all__ = [
-    "BASELINE",
     "ExpectationEntropy",
     "ThresholdProbability",
     "OptimizerConfig",
     "OptResult",
     "expectation_entropy",
     "threshold_probability",
-    "cost_expectation",
-    "cost_threshold",
     "optimize",
     "sweep",
     "random_scatter",
 ]
 
-BASELINE = 2.0          # additive constant keeping the expectation cost positive
+ANNEAL_SCHEDULE = (0.1, 0.01, 0.001)  # threshold surrogate temperatures, in turn
 FEASIBLE_BAND = 0.005   # |p_total - p_target| accepted as on-target
 L1_BETA = 2.0           # exact-penalty weight, > the frontier slope
 MOMENTUM = 0.9
 STATES_P_FLOOR = 1e-6
+
+
+class _Phase(NamedTuple):
+    """From iteration `start` on, descend along `grad(tangents, gap)`, an
+    (R, 16) array; `reset` starts the phase with zero velocity."""
+
+    start: int
+    grad: Callable
+    reset: bool
 
 
 @dataclass(frozen=True)
@@ -67,9 +77,34 @@ class ExpectationEntropy:
     p_target: float
     alpha: float = 1.0
 
+    _kind = "expectation"
+    _diag = False    # the same-channel outcomes carry S = 0
+    _s_floor = 2e-9  # states_used counts the entangled outcomes
+
     def __post_init__(self):
         if not 0.5 - 1e-12 <= self.p_target <= 1.0 + 1e-12:
             raise ValueError(f"p_target must lie in [0.5, 1], got {self.p_target}")
+
+    @property
+    def _target(self) -> float:
+        return self.p_target
+
+    def _score(self, p, s, p_diag):
+        """Hard <S> and the signed gap p_total - p_target."""
+        return np.sum(p * s, axis=-1), np.sum(p, axis=-1) - self.p_target
+
+    def _phases(self, iterations: int):
+        """Quadratic penalty, then the exact L1 penalty with fresh momentum."""
+
+        def quadratic(t, gap):
+            g_s, g_p = _expectation_grads(t)
+            return 2.0 * self.alpha * gap[:, None] * g_p - g_s
+
+        def exact(t, gap):
+            g_s, g_p = _expectation_grads(t)
+            return L1_BETA * np.sign(gap)[:, None] * g_p - g_s
+
+        return [_Phase(0, quadratic, False), _Phase(iterations // 3, exact, True)]
 
 
 @dataclass(frozen=True)
@@ -77,13 +112,40 @@ class ThresholdProbability:
     """Maximize the total probability of outcomes with S >= s_target."""
 
     s_target_bits: float
-    smoothing_tau: float | None = None  # None: use the config anneal schedule
+
+    _kind = "threshold"
 
     def __post_init__(self):
         if not 0.0 <= self.s_target_bits <= 1.0:
             raise ValueError(
                 f"s_target must lie in [0, 1] bits, got {self.s_target_bits}"
             )
+
+    @property
+    def _target(self) -> float:
+        return self.s_target_bits
+
+    @property
+    def _s_floor(self) -> float:
+        return self.s_target_bits
+
+    @property
+    def _diag(self) -> bool:
+        return self.s_target_bits <= 0.0
+
+    def _score(self, p, s, p_diag):
+        """Hard P(s); every point is on target, so the gap is 0."""
+        value = _hard_threshold(p, s, self.s_target_bits, p_diag)
+        return value, np.zeros_like(value)
+
+    def _phases(self, iterations: int):
+        """One equal segment of the logistic surrogate per temperature."""
+        seg = max(iterations // len(ANNEAL_SCHEDULE), 1)
+
+        def surrogate(tau):
+            return lambda t, gap: -_threshold_grad(t, self.s_target_bits, tau)
+
+        return [_Phase(k * seg, surrogate(tau), False) for k, tau in enumerate(ANNEAL_SCHEDULE)]
 
 
 @dataclass(frozen=True)
@@ -93,30 +155,28 @@ class OptimizerConfig:
     iterations: int = 1000
     step: float = 1e-3
     master_seed: int = 0
-    anneal_schedule: tuple[float, ...] = (0.1, 0.01, 0.001)
 
     def __post_init__(self):
         if min(self.restarts, self.init_samples, self.iterations) < 1:
             raise ValueError("restarts, init_samples and iterations must be >= 1")
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if not self.anneal_schedule:
-            raise ValueError("anneal schedule must not be empty")
 
 
 @dataclass(frozen=True)
 class OptResult:
     """Outcome of one optimization run.
 
-    `hard_value` is the unsmoothed objective (<S> or P) recomputed from
-    `best_matrix`; `objective_value` is the optimizer-internal cost at the same
-    point.  `restart_values` holds each restart's final hard value (builtin
-    candidates excluded), `trace` the per-iteration hard value of the winning
-    restart.
+    `hard_value` is the unsmoothed objective (<S> or P) of `best_matrix`, the
+    best of the restarts' final points and the builtin matrices: feasible
+    candidates rank by value, and when none is feasible the one closest to
+    the target wins.  `restart_values` holds each restart's final hard value
+    (builtin candidates excluded), `trace` the per-iteration hard value of
+    the winning restart, or of the restart ranked best the same way when a
+    builtin wins.
     """
 
     best_matrix: np.ndarray
-    objective_value: float
     hard_value: float
     trace: tuple[float, ...]
     states_used: int
@@ -176,26 +236,6 @@ def threshold_probability(matrix, s_target_bits: float):
     p_diag = _diag_total(u) if s_target_bits <= 0.0 else None
     total = _hard_threshold(p_rel, s, s_target_bits, p_diag)
     return float(total) if u.ndim == 2 else total
-
-
-def cost_expectation(matrix, p_target: float, alpha: float = 1.0):
-    u = np.asarray(matrix, dtype=complex)
-    gap = fusion.total_relevant_probability(u) - p_target
-    out = alpha * gap**2 - expectation_entropy(u) + BASELINE
-    return float(out) if u.ndim == 2 else out
-
-
-def cost_threshold(matrix, s_target_bits: float, tau: float):
-    """Logistic-smoothed negative of threshold_probability."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    u = np.asarray(matrix, dtype=complex)
-    p_rel, s = _p_and_s(u)
-    p_diag = fusion.diag_probabilities(u)
-    sig_rel = _logistic((s - s_target_bits) / tau)
-    sig_diag = _logistic((0.0 - s_target_bits) / tau)
-    out = -(np.sum(p_rel * sig_rel, axis=-1) + sig_diag * np.sum(p_diag, axis=-1))
-    return float(out) if u.ndim == 2 else out
 
 
 def _logistic(x):
@@ -310,171 +350,99 @@ def _init_pool(rng, cfg: OptimizerConfig, warm_start) -> np.ndarray:
     return cand
 
 
-def _builtin_candidates():
-    names = list(matrices.BUILTIN_NAMES)
-    return names, np.stack([matrices.builtin(nm) for nm in names])
+def _evaluate(objective, u: np.ndarray):
+    """(value, gap, p_total) of a matrix batch under `objective`."""
+    p, s = _p_and_s(u)
+    p_diag = _diag_total(u) if objective._diag else None
+    value, gap = objective._score(p, s, p_diag)
+    return value, gap, np.sum(p, axis=-1)
 
 
-def _optimize_expectation(
-    obj: ExpectationEntropy, cfg: OptimizerConfig, warm_start=None
-) -> OptResult:
+def _rank(value, gap, feasible) -> int:
+    """Best candidate: the highest value if any is feasible, else the smallest gap."""
+    if feasible.any():
+        return int(np.argmax(np.where(feasible, value, -np.inf)))
+    return int(np.argmin(np.abs(gap)))
+
+
+def _descend(objective, cfg: OptimizerConfig, warm_start=None) -> OptResult:
+    """The restart descent for either objective; see the module docstring."""
     rng = np.random.default_rng(cfg.master_seed)
     R = cfg.restarts
     cand = _init_pool(rng, cfg, warm_start)
-    S0, p0 = _S_exp_p_total(matrices.from_params(cand.reshape(-1, 16)))
-    score0 = (S0 - L1_BETA * np.abs(p0 - obj.p_target)).reshape(R, -1)
+    value0, gap0, _ = _evaluate(objective, matrices.from_params(cand.reshape(-1, 16)))
+    score0 = (value0 - L1_BETA * np.abs(gap0)).reshape(R, -1)
     theta = cand[np.arange(R), np.argmax(score0, axis=1)]
     vel = np.zeros_like(theta)
 
-    best_feas_S = np.full(R, -np.inf)
-    best_feas_theta = theta.copy()
+    # per restart: the best feasible point, and the point closest to the target
+    best_value = np.full(R, -np.inf)
+    best_theta = theta.copy()
     best_gap = np.full(R, np.inf)
     best_gap_theta = theta.copy()
+
+    def track(points, value, gap):
+        upd = (np.abs(gap) <= FEASIBLE_BAND) & (value > best_value)
+        best_value[upd] = value[upd]
+        best_theta[upd] = points[upd]
+        upd = np.abs(gap) < best_gap
+        best_gap[upd] = np.abs(gap[upd])
+        best_gap_theta[upd] = points[upd]
+
+    phases = objective._phases(cfg.iterations)
+    k = 0
     trace = np.zeros((cfg.iterations, R))
-
-    phase_a = cfg.iterations // 3
     for it in range(cfg.iterations):
-        t = _tangents(theta)
-        S_c = np.sum(t.p * t.s, axis=-1)
-        p_c = np.sum(t.p, axis=-1)
-        gS, gp = _expectation_grads(t)
-        trace[it] = S_c
-
-        feas = np.abs(p_c - obj.p_target) <= FEASIBLE_BAND
-        upd = feas & (S_c > best_feas_S)
-        best_feas_S = np.where(upd, S_c, best_feas_S)
-        best_feas_theta[upd] = theta[upd]
-        gap = np.abs(p_c - obj.p_target)
-        updg = gap < best_gap
-        best_gap = np.where(updg, gap, best_gap)
-        best_gap_theta[updg] = theta[updg]
-
-        if it == phase_a:
-            vel[:] = 0.0  # fresh momentum for the exact-penalty phase
-        if it < phase_a:
-            grad = 2.0 * obj.alpha * (p_c - obj.p_target)[:, None] * gp - gS
-        else:
-            grad = L1_BETA * np.sign(p_c - obj.p_target)[:, None] * gp - gS
-        vel = MOMENTUM * vel - cfg.step * grad
+        while k + 1 < len(phases) and phases[k + 1].start <= it:
+            k += 1
+            if phases[k].reset:
+                vel[:] = 0.0
+        t = _tangents(theta, diag=objective._diag)
+        value, gap = objective._score(t.p, t.s, t.p_diag)
+        trace[it] = value
+        track(theta, value, gap)
+        vel = MOMENTUM * vel - cfg.step * phases[k].grad(t, gap)
         theta = theta + vel
+    if isinstance(objective, ThresholdProbability):
+        # threshold descent also scores the post-step endpoints
+        track(theta, *_evaluate(objective, matrices.from_params(theta))[:2])
 
-    have = best_feas_S > -np.inf
-    finals = np.where(have[:, None], best_feas_theta, best_gap_theta)
-    S_f, p_f = _S_exp_p_total(matrices.from_params(finals))
-    restart_values = tuple(float(v) for v in S_f)
+    have = best_value > -np.inf
+    finals = np.where(have[:, None], best_theta, best_gap_theta)
+    value_f, gap_f, p_f = _evaluate(objective, matrices.from_params(finals))
+    names = matrices.BUILTIN_NAMES
+    mats = np.stack([matrices.builtin(nm) for nm in names])
+    value_b, gap_b, p_b = _evaluate(objective, mats)
+    feas_b = np.abs(gap_b) <= FEASIBLE_BAND
 
-    # merge the exact builtin candidates
-    names, mats = _builtin_candidates()
-    S_b, p_b = _S_exp_p_total(mats)
-    feas_b = np.abs(p_b - obj.p_target) <= FEASIBLE_BAND
-
-    cand_S = np.concatenate([S_b, S_f])
-    cand_p = np.concatenate([p_b, p_f])
-    cand_feas = np.concatenate([feas_b, have])
-    if cand_feas.any():
-        masked = np.where(cand_feas, cand_S, -np.inf)
-        pick = int(np.argmax(masked))
-        # prefer an exact builtin over a descent point ahead by only float noise
-        if pick >= len(names) and feas_b.any():
-            best_b = int(np.argmax(np.where(feas_b, S_b, -np.inf)))
-            if masked[pick] - S_b[best_b] <= 1e-9:
-                pick = best_b
-    else:
-        pick = int(np.argmin(np.abs(cand_p - obj.p_target)))
+    values = np.concatenate([value_b, value_f])
+    feasible = np.concatenate([feas_b, have])
+    p_all = np.concatenate([p_b, p_f])
+    pick = _rank(values, np.concatenate([gap_b, gap_f]), feasible)
+    # prefer an exact builtin over a descent point ahead by only float noise
+    if pick >= len(names) and feas_b.any():
+        best_b = _rank(value_b, gap_b, feas_b)
+        if values[pick] - value_b[best_b] <= 1e-9:
+            pick = best_b
     if pick < len(names):
         best_matrix = mats[pick]
         builtin_name = names[pick]
-        winner_restart = int(np.argmax(np.where(have, S_f, -np.inf))) if have.any() else 0
+        winner_restart = _rank(value_f, gap_f, have)
     else:
-        r = pick - len(names)
-        best_matrix = matrices.from_params(finals[r])
+        winner_restart = pick - len(names)
+        best_matrix = matrices.from_params(finals[winner_restart])
         builtin_name = None
-        winner_restart = r
-
-    hard = float(cand_S[pick])
-    return OptResult(
-        best_matrix=best_matrix,
-        objective_value=float(cost_expectation(best_matrix, obj.p_target, obj.alpha)),
-        hard_value=hard,
-        trace=tuple(float(v) for v in trace[:, winner_restart]),
-        states_used=_states_used(best_matrix, 2e-9),
-        restart_values=restart_values,
-        p_total=float(cand_p[pick]),
-        feasible=bool(cand_feas[pick]),
-        target=obj.p_target,
-        kind="expectation",
-        seed=cfg.master_seed,
-        from_builtin=builtin_name,
-    )
-
-
-def _optimize_threshold(
-    obj: ThresholdProbability, cfg: OptimizerConfig, warm_start=None
-) -> OptResult:
-    rng = np.random.default_rng(cfg.master_seed)
-    R = cfg.restarts
-    s_target = obj.s_target_bits
-    taus = (
-        (obj.smoothing_tau,) if obj.smoothing_tau is not None else cfg.anneal_schedule
-    )
-
-    cand = _init_pool(rng, cfg, warm_start)
-    P0 = threshold_probability(matrices.from_params(cand.reshape(-1, 16)), s_target)
-    P0 = P0.reshape(R, -1)
-    theta = cand[np.arange(R), np.argmax(P0, axis=1)]
-    vel = np.zeros_like(theta)
-    best_hard = P0.max(axis=1)
-    best_theta = theta.copy()
-    trace = np.zeros((cfg.iterations, R))
-
-    seg = max(cfg.iterations // len(taus), 1)
-    for it in range(cfg.iterations):
-        tau = taus[min(it // seg, len(taus) - 1)]
-        t = _tangents(theta, diag=s_target <= 0.0)
-        grad = -_threshold_grad(t, s_target, tau)
-        hard_c = _hard_threshold(t.p, t.s, s_target, t.p_diag)
-        trace[it] = hard_c
-        upd = hard_c > best_hard
-        best_hard = np.where(upd, hard_c, best_hard)
-        best_theta[upd] = theta[upd]
-        vel = MOMENTUM * vel - cfg.step * grad
-        theta = theta + vel
-    # the post-step endpoints were never scored inside the loop
-    hard_end = threshold_probability(matrices.from_params(theta), s_target)
-    upd = hard_end > best_hard
-    best_hard = np.where(upd, hard_end, best_hard)
-    best_theta[upd] = theta[upd]
-
-    restart_values = tuple(float(v) for v in best_hard)
-
-    names, mats = _builtin_candidates()
-    P_b = threshold_probability(mats, s_target)
-    cand_P = np.concatenate([P_b, best_hard])
-    pick = int(np.argmax(cand_P))
-    # prefer an exact builtin over a descent point it beats only by float noise
-    if pick >= len(names) and cand_P[pick] - P_b.max() <= 1e-9:
-        pick = int(np.argmax(P_b))
-    if pick < len(names):
-        best_matrix = mats[pick]
-        builtin_name = names[pick]
-        winner_restart = int(np.argmax(best_hard))
-    else:
-        r = pick - len(names)
-        best_matrix = matrices.from_params(best_theta[r])
-        builtin_name = None
-        winner_restart = r
 
     return OptResult(
         best_matrix=best_matrix,
-        objective_value=float(cost_threshold(best_matrix, s_target, taus[-1])),
-        hard_value=float(cand_P[pick]),
+        hard_value=float(values[pick]),
         trace=tuple(float(v) for v in trace[:, winner_restart]),
-        states_used=_states_used(best_matrix, s_target),
-        restart_values=restart_values,
-        p_total=float(fusion.total_relevant_probability(best_matrix)),
-        feasible=True,
-        target=s_target,
-        kind="threshold",
+        states_used=_states_used(best_matrix, objective._s_floor),
+        restart_values=tuple(float(v) for v in value_f),
+        p_total=float(p_all[pick]),
+        feasible=bool(feasible[pick]),
+        target=objective._target,
+        kind=objective._kind,
         seed=cfg.master_seed,
         from_builtin=builtin_name,
     )
@@ -494,11 +462,9 @@ def optimize(objective, config: OptimizerConfig | None = None, warm_start=None) 
     """
     cfg = config if config is not None else OptimizerConfig()
     warm = None if warm_start is None else np.asarray(warm_start, float)
-    if isinstance(objective, ExpectationEntropy):
-        return _optimize_expectation(objective, cfg, warm)
-    if isinstance(objective, ThresholdProbability):
-        return _optimize_threshold(objective, cfg, warm)
-    raise TypeError(f"unknown objective {objective!r}")
+    if not isinstance(objective, (ExpectationEntropy, ThresholdProbability)):
+        raise TypeError(f"unknown objective {objective!r}")
+    return _descend(objective, cfg, warm)
 
 
 def sweep(

@@ -225,34 +225,32 @@ def parse_scenario(text: str) -> "FusionScenario":
 # state construction and basic operators
 
 
+def _at(ndim: int, bits: dict) -> tuple:
+    """Index of a (2,)*ndim state that fixes each axis in `bits` to its bit."""
+    idx = [slice(None)] * ndim
+    for axis, bit in bits.items():
+        idx[axis] = bit
+    return tuple(idx)
+
+
 def build_graph_state(g: GraphSpec) -> np.ndarray:
     if g.n > MAX_QUBITS:
         raise TooManyQubits(f"{g.n} qubits exceeds the dense cap of {MAX_QUBITS}")
     psi = np.full((2,) * g.n, 2.0 ** (-g.n / 2.0), dtype=complex)
     for (u, v) in g.edges:
-        idx = [slice(None)] * g.n
-        idx[u] = 1
-        idx[v] = 1
-        psi[tuple(idx)] *= -1.0
+        psi[_at(g.n, {u: 1, v: 1})] *= -1.0
     if g.special_edge is not None:
         u, v, chi = g.special_edge
-        idx = [slice(None)] * g.n
-        idx[u] = 1
-        idx[v] = 1
-        psi[tuple(idx)] *= np.exp(1j * chi)
+        psi[_at(g.n, {u: 1, v: 1})] *= np.exp(1j * chi)
     for a, k in enumerate(g.k_flags):
         if k:
-            idx = [slice(None)] * g.n
-            idx[a] = 1
-            psi[tuple(idx)] *= -1.0
+            psi[_at(g.n, {a: 1})] *= -1.0
     return psi
 
 
 def _apply_z(state: np.ndarray, axis: int) -> np.ndarray:
     out = state.copy()
-    idx = [slice(None)] * out.ndim
-    idx[axis] = 1
-    out[tuple(idx)] *= -1.0
+    out[_at(out.ndim, {axis: 1})] *= -1.0
     return out
 
 
@@ -260,9 +258,7 @@ def _apply_k(state: np.ndarray, axis: int, neighbors) -> np.ndarray:
     """X on `axis`, Z on each neighbor axis."""
     out = state.copy()
     for b in neighbors:
-        idx = [slice(None)] * out.ndim
-        idx[b] = 1
-        out[tuple(idx)] *= -1.0
+        out[_at(out.ndim, {b: 1})] *= -1.0
     return np.flip(out, axis=axis)
 
 
@@ -291,14 +287,8 @@ def merge_logical(state: np.ndarray, a: int, e: int):
     """
     if a == e:
         raise ValueError("need two distinct qubits")
-    idx00 = [slice(None)] * state.ndim
-    idx00[a] = 0
-    idx00[e] = 0
-    idx11 = [slice(None)] * state.ndim
-    idx11[a] = 1
-    idx11[e] = 1
-    block0 = state[tuple(idx00)]
-    block1 = state[tuple(idx11)]
+    block0 = state[_at(state.ndim, {a: 0, e: 0})]
+    block1 = state[_at(state.ndim, {a: 1, e: 1})]
     new_axis = a - 1 if e < a else a
     merged = np.stack([block0, block1], axis=new_axis)
     weight = float(np.linalg.norm(merged))
@@ -316,12 +306,9 @@ def expand_logical(state: np.ndarray, a: int) -> np.ndarray:
     if state.ndim + 1 > MAX_QUBITS:
         raise TooManyQubits("logical expansion exceeds the dense cap")
     out = np.zeros(state.shape + (2,), dtype=complex)
-    idx0 = [slice(None)] * state.ndim
-    idx0[a] = 0
-    idx1 = [slice(None)] * state.ndim
-    idx1[a] = 1
-    out[tuple(idx0) + (0,)] = state[tuple(idx0)]
-    out[tuple(idx1) + (1,)] = state[tuple(idx1)]
+    for x in (0, 1):
+        idx = _at(state.ndim, {a: x})
+        out[idx + (x,)] = state[idx]
     return out
 
 
@@ -338,10 +325,7 @@ def apply_fusion_projector(state: np.ndarray, a: int, b: int, coeffs):
     blocks = {}
     for x in (0, 1):
         for y in (0, 1):
-            idx = [slice(None)] * state.ndim
-            idx[a] = x
-            idx[b] = y
-            blocks[(x, y)] = state[tuple(idx)]
+            blocks[(x, y)] = state[_at(state.ndim, {a: x, b: y})]
     new = ca * blocks[0, 0] + cb * blocks[0, 1] + cc * blocks[1, 0] + cd * blocks[1, 1]
     weight = float(np.sum(np.abs(new) ** 2))
     if weight <= 1e-24:
@@ -517,16 +501,10 @@ def check_Te_stabilizer(
     # carrier generator: Z on the new neighborhood, then T_e
     work = state.copy()
     for c in adj[e_axis]:
-        idx = [slice(None)] * work.ndim
-        idx[c] = 1
-        work[tuple(idx)] *= -1.0
+        work[_at(work.ndim, {c: 1})] *= -1.0
     work = np.flip(work, axis=e_axis).copy()
-    idx0 = [slice(None)] * work.ndim
-    idx0[e_axis] = 0
-    idx1 = [slice(None)] * work.ndim
-    idx1[e_axis] = 1
-    work[tuple(idx0)] *= np.exp(-1j * phi)
-    work[tuple(idx1)] *= np.exp(1j * phi)
+    work[_at(work.ndim, {e_axis: 0})] *= np.exp(-1j * phi)
+    work[_at(work.ndim, {e_axis: 1})] *= np.exp(1j * phi)
     carrier_sign = (-1.0) ** (scenario.left.k_flags[scenario.a] + scenario.right.k_flags[scenario.b])
     if np.max(np.abs(work - carrier_sign * state)) > tol:
         return False
@@ -600,10 +578,8 @@ def check_weighted_graph_equivalence(
     overlaps = {}
     for x in (0, 1):
         for y in (0, 1):
-            idx = [slice(None)] * state.ndim
-            idx[e_axis] = x
-            idx[d_axis] = y
-            overlaps[(x, y)] = complex(np.vdot(ref[tuple(idx)], state[tuple(idx)]))
+            idx = _at(state.ndim, {e_axis: x, d_axis: y})
+            overlaps[(x, y)] = complex(np.vdot(ref[idx], state[idx]))
     achieved = _best_phase_alignment(
         overlaps[0, 0], overlaps[0, 1], overlaps[1, 0], overlaps[1, 1]
     )

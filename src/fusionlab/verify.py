@@ -81,7 +81,7 @@ def max_workers() -> int:
 
 
 @_suite("unitarity")
-def _suite_unitarity(rng, trials, tol, fault):
+def _suite_unitarity(rng, trials, fault):
     c = _Counter()
     n = max(trials, 4)
     u = np.concatenate(
@@ -104,7 +104,7 @@ def _suite_unitarity(rng, trials, tol, fault):
 
 
 @_suite("haar_moments")
-def _suite_haar_moments(rng, trials, tol, fault):
+def _suite_haar_moments(rng, trials, fault):
     # familywise 3-sigma across the 16 entries, i.e. ~4 sigma per entry
     c = _Counter()
     n = int(min(max(100 * trials, 2000), 100_000))
@@ -117,7 +117,7 @@ def _suite_haar_moments(rng, trials, tol, fault):
 
 
 @_suite("channel_invariants")
-def _suite_channel_invariants(rng, trials, tol, fault):
+def _suite_channel_invariants(rng, trials, fault):
     c = _Counter()
     n = max(trials, 4)
     u = matrices.haar_sample(rng, size=n)
@@ -137,7 +137,7 @@ def _suite_channel_invariants(rng, trials, tol, fault):
 
 
 @_suite("probability_bounds")
-def _suite_probability_bounds(rng, trials, tol, fault):
+def _suite_probability_bounds(rng, trials, fault):
     c = _Counter()
     n = max(trials, 4)
     u = matrices.haar_sample(rng, size=n)
@@ -163,7 +163,7 @@ def _suite_probability_bounds(rng, trials, tol, fault):
 
 
 @_suite("norm_identity")
-def _suite_norm_identity(rng, trials, tol, fault):
+def _suite_norm_identity(rng, trials, fault):
     c = _Counter()
     n = max(trials, 4)
     u = matrices.haar_sample(rng, size=n)
@@ -182,7 +182,7 @@ def _suite_norm_identity(rng, trials, tol, fault):
 
 
 @_suite("phase_invariance")
-def _suite_phase_invariance(rng, trials, tol, fault):
+def _suite_phase_invariance(rng, trials, fault):
     c = _Counter()
     n = min(max(trials, 4), 200)
     for _ in range(n):
@@ -224,7 +224,7 @@ def _suite_phase_invariance(rng, trials, tol, fault):
 
 
 @_suite("determinant_identities")
-def _suite_determinant_identities(rng, trials, tol, fault):
+def _suite_determinant_identities(rng, trials, fault):
     c = _Counter()
     n = max(trials, 4)
     u = matrices.haar_sample(rng, size=n)
@@ -289,19 +289,24 @@ def _suite_determinant_identities(rng, trials, tol, fault):
 # classification suites
 
 
+def _weighted_graph_coeffs(theta1, theta2, phi1, phi2) -> np.ndarray:
+    """(A, B, C, D) of the weighted-graph form with these parameters."""
+    inv = 1.0 / np.sqrt(2.0)
+    return np.array(
+        [
+            np.exp(1j * theta1) * np.cos(phi1) * inv,
+            1j * np.exp(1j * theta1) * np.sin(phi1) * inv,
+            1j * np.exp(1j * theta2) * np.sin(phi2) * inv,
+            np.exp(1j * theta2) * np.cos(phi2) * inv,
+        ]
+    )
+
+
 def _random_weighted_graph_coeffs(rng, cluster=False):
     t1, t2 = rng.uniform(-np.pi, np.pi, 2)
     f1 = rng.uniform(-np.pi, np.pi)
     f2 = f1 if cluster else rng.uniform(-np.pi, np.pi)
-    inv = 1.0 / np.sqrt(2.0)
-    return np.array(
-        [
-            np.exp(1j * t1) * np.cos(f1) * inv,
-            1j * np.exp(1j * t1) * np.sin(f1) * inv,
-            1j * np.exp(1j * t2) * np.sin(f2) * inv,
-            np.exp(1j * t2) * np.cos(f2) * inv,
-        ]
-    )
+    return _weighted_graph_coeffs(t1, t2, f1, f2)
 
 
 def _random_stabilizer_coeffs(rng):
@@ -313,7 +318,7 @@ def _random_stabilizer_coeffs(rng):
 
 
 @_suite("classification_coherence")
-def _suite_classification(rng, trials, tol, fault):
+def _suite_classification(rng, trials, fault):
     c = _Counter()
     n = min(max(trials, 20), 2000)
     for _ in range(n):
@@ -334,7 +339,7 @@ def _suite_classification(rng, trials, tol, fault):
                 abs(det - (1.0 - np.cos(wg.chi)) / 8.0) <= 1e-9,
                 "det = (1 - cos chi)/8",
             )
-            rebuilt = _rebuild_weighted(wg)
+            rebuilt = _weighted_graph_coeffs(wg.theta1, wg.theta2, wg.phi1, wg.phi2)
             c.check(np.abs(rebuilt - wc).max() <= 1e-9, "weighted-graph round-trip")
             is_max = abs(det - 0.25) <= 1e-8
             is_cluster = classify.is_cluster_up_to_rotation(wc) is not None
@@ -353,32 +358,12 @@ def _suite_classification(rng, trials, tol, fault):
     return c
 
 
-def _rebuild_weighted(wg) -> np.ndarray:
-    inv = 1.0 / np.sqrt(2.0)
-    return np.array(
-        [
-            np.exp(1j * wg.theta1) * np.cos(wg.phi1) * inv,
-            1j * np.exp(1j * wg.theta1) * np.sin(wg.phi1) * inv,
-            1j * np.exp(1j * wg.theta2) * np.sin(wg.phi2) * inv,
-            np.exp(1j * wg.theta2) * np.cos(wg.phi2) * inv,
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # optimizer suites
 
 
-def _haar2(rng) -> np.ndarray:
-    """One Haar-random 2x2 unitary (QR with the phase fix)."""
-    z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 @_suite("threshold_bounds")
-def _suite_threshold_bounds(rng, trials, tol, fault):
+def _suite_threshold_bounds(rng, trials, fault):
     c = _Counter()
     n = max(trials, 1000)
     u = matrices.haar_sample(rng, size=n)
@@ -402,7 +387,10 @@ def _suite_threshold_bounds(rng, trials, tol, fault):
     # the deterministic-success family: block structure, zero entropy
     base = matrices.builtin("blockpair")
     for _ in range(min(max(trials // 10, 5), 50)):
-        blocks = [_haar2(rng) for _ in range(4)]
+        blocks = []
+        for _ in range(4):  # Haar-random 2x2 unitaries
+            z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / np.sqrt(2.0)
+            blocks.append(matrices._haar_qr(z)[0])
         left = np.zeros((4, 4), dtype=complex)
         right = np.zeros((4, 4), dtype=complex)
         left[:2, :2], left[2:, 2:] = blocks[0], blocks[1]
@@ -419,7 +407,7 @@ def _suite_threshold_bounds(rng, trials, tol, fault):
 
 
 @_suite("optimizer_determinism")
-def _suite_optimizer_determinism(rng, trials, tol, fault):
+def _suite_optimizer_determinism(rng, trials, fault):
     c = _Counter()
     cfg = optimize.OptimizerConfig(
         restarts=2, init_samples=8, iterations=12, master_seed=int(rng.integers(2**31))
@@ -441,7 +429,7 @@ def _suite_optimizer_determinism(rng, trials, tol, fault):
 
 
 @_suite("bosonic_equivalence")
-def _suite_bosonic_equivalence(rng, trials, tol, fault):
+def _suite_bosonic_equivalence(rng, trials, fault):
     c = _Counter()
     for _ in range(min(max(trials, 20), 300)):
         u = matrices.haar_sample(rng)
@@ -473,7 +461,7 @@ def _one_scenario(args):
 
 
 @_suite("graph_oracle")
-def _suite_graph_oracle(rng, trials, tol, fault):
+def _suite_graph_oracle(rng, trials, fault):
     c = _Counter()
     for _ in range(min(max(trials, 10), 100)):
         g = oracle.random_graph_spec(rng, int(rng.integers(2, 9)))
@@ -497,7 +485,6 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 def run_suites(
     trials: int = 1000,
     seed: int = 0,
-    tol: float = 1e-9,
     inject_fault: str | None = None,
     names=None,
 ) -> list[SuiteResult]:
@@ -520,6 +507,6 @@ def run_suites(
             continue
         rng = np.random.default_rng([seed, idx])
         fault = inject_fault is not None and name == "channel_invariants"
-        counter = fn(rng, trials, tol, fault)
+        counter = fn(rng, trials, fault)
         results.append(counter.result(name))
     return results

@@ -234,6 +234,14 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_verify_rejects_tol(capsys):
+    """The suites hold fixed pass criteria, so verify takes no --tol."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "5", "--suite", "unitarity", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -3,12 +3,10 @@ import pytest
 
 from fusionlab import entanglement, fusion, matrices, optimize as opt
 from fusionlab.optimize import (
-    BASELINE,
+    ANNEAL_SCHEDULE,
     ExpectationEntropy,
     OptimizerConfig,
     ThresholdProbability,
-    cost_expectation,
-    cost_threshold,
     expectation_entropy,
     random_scatter,
     sweep,
@@ -53,25 +51,6 @@ def test_threshold_probability_batch():
     assert out == pytest.approx([0.5, 0.0], abs=1e-12)
 
 
-def test_cost_expectation_value():
-    pbs2 = matrices.builtin("pbs2")
-    # on-target: cost = baseline - <S>
-    assert cost_expectation(pbs2, 0.5) == pytest.approx(BASELINE - 0.5, abs=1e-12)
-    # off-target: quadratic penalty alpha (p - p_target)^2
-    assert cost_expectation(pbs2, 0.6, alpha=3.0) == pytest.approx(
-        3.0 * 0.01 + BASELINE - 0.5, abs=1e-12
-    )
-
-
-def test_cost_threshold_value():
-    # at tau -> 0 the logistic sits at 1/2 exactly on the knife edge
-    assert cost_threshold(matrices.builtin("pbs2"), 1.0, 1e-6) == pytest.approx(
-        -0.25, abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        cost_threshold(matrices.builtin("pbs2"), 1.0, 0.0)
-
-
 def test_objective_validation():
     with pytest.raises(ValueError):
         ExpectationEntropy(p_target=0.4)
@@ -88,8 +67,6 @@ def test_config_validation():
         OptimizerConfig(iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(step=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(anneal_schedule=())
 
 
 def test_optimize_rejects_unknown_objective():
@@ -156,6 +133,37 @@ def test_expectation_feasibility_band():
     assert res.hard_value == pytest.approx(
         expectation_entropy(res.best_matrix), abs=1e-12
     )
+
+
+def _pool_winners(cfg, p_target):
+    """(<S>, p_total) of each restart's start point: its best pool draw under
+    the score <S> - L1_BETA |p_total - p_target|."""
+    rng = np.random.default_rng(cfg.master_seed)
+    u = matrices.from_params(matrices.random_params(rng, size=(cfg.restarts, cfg.init_samples)))
+    s, p = expectation_entropy(u), fusion.total_relevant_probability(u)
+    win = np.argmax(s - opt.L1_BETA * np.abs(p - p_target), axis=1)
+    rows = np.arange(cfg.restarts)
+    return s[rows, win], p[rows, win]
+
+
+@pytest.mark.parametrize("p_target", [0.75, 0.9])
+def test_expectation_infeasible_fallback(p_target):
+    """No candidate reaches the band: the one closest to the target wins (a
+    restart at 0.75, blockpair at 0.9), and the trace is the restart's that
+    lies closest.  One iteration leaves every restart at its start point."""
+    cfg = OptimizerConfig(restarts=3, init_samples=4, iterations=1, master_seed=3)
+    res = opt.optimize(ExpectationEntropy(p_target=p_target), cfg)
+    s_w, p_w = _pool_winners(cfg, p_target)
+    p_b = fusion.total_relevant_probability(
+        np.stack([matrices.builtin(nm) for nm in matrices.BUILTIN_NAMES])
+    )
+    p_all = np.concatenate([p_b, p_w])
+    assert np.all(np.abs(p_all - p_target) > opt.FEASIBLE_BAND)
+    assert not res.feasible
+    assert res.p_total == pytest.approx(p_all[np.argmin(np.abs(p_all - p_target))], abs=1e-12)
+    assert res.hard_value == pytest.approx(expectation_entropy(res.best_matrix), abs=1e-12)
+    assert res.from_builtin == (None if p_target == 0.75 else "blockpair")
+    assert res.trace[0] == pytest.approx(s_w[np.argmin(np.abs(p_w - p_target))], abs=1e-12)
 
 
 def test_warm_start_accepted_and_deterministic():
@@ -335,7 +343,7 @@ def test_threshold_gradient_matches_finite_differences(group, s_target):
             lambda x: _smooth_threshold(x, s_target, tau),
             theta,
         )
-        for tau in OptimizerConfig().anneal_schedule
+        for tau in ANNEAL_SCHEDULE
     ]
     _assert_covered(masks, group)
 
@@ -369,7 +377,7 @@ def test_gradients_finite_at_builtins():
     assert set(t.p[matrices.BUILTIN_NAMES.index("identity")]) == {0.0, 0.25}
     grads = list(opt._expectation_grads(t))
     for s_target in (0.0, 0.5, 1.0):
-        grads += [opt._threshold_grad(t, s_target, tau) for tau in OptimizerConfig().anneal_schedule]
+        grads += [opt._threshold_grad(t, s_target, tau) for tau in ANNEAL_SCHEDULE]
     for g in grads:
         assert g.shape == (len(theta), 16)
         assert np.all(np.isfinite(g))
