@@ -23,7 +23,13 @@ hierarchy of forms:
 Containments (Stabilizer inside ClusterUpToRotation inside MaxEntangledGeneric,
 and, for a single-neighbor fusion partner, Stabilizer inside WeightedGraph)
 are enforced by construction so that borderline rounding cannot produce a
-paradoxical label set.
+paradoxical label set: once Stabilizer or maximal entanglement is decided,
+`classify` takes the weighted-graph and maximally-entangled parameters from
+the ungated fits instead of re-testing their forms.  A quadruple whose norm
+is further than `matrices.UNITARY_TOL` from 1, such as the all-zero
+coefficients of a zero-probability Outcome, is rejected with ValueError;
+`classify` itself labels such an Outcome Product with its
+`zero_probability` flag set.
 
 The weighted-graph reading of a partner qubit with two neighbors is only
 available in the stabilizer case, so with `arity=2` the WeightedGraph label
@@ -31,12 +37,14 @@ simply mirrors Stabilizer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .fusion import Outcome
+from .matrices import UNITARY_TOL
 
 __all__ = [
     "LABELS",
@@ -88,11 +96,12 @@ class MaxEntangledParams(NamedTuple):
 
 
 def _coeffs(state) -> np.ndarray:
-    if isinstance(state, Outcome):
-        return state.coefficients
-    c = np.asarray(state, dtype=complex)
+    c = state.coefficients if isinstance(state, Outcome) else np.asarray(state, dtype=complex)
     if c.shape != (4,):
         raise ValueError(f"expected 4 coefficients, got shape {c.shape}")
+    norm = math.sqrt(np.vdot(c, c).real)
+    if not abs(norm - 1.0) <= UNITARY_TOL:
+        raise ValueError(f"expected a normalized quadruple, got norm {norm!r}")
     return c
 
 
@@ -140,13 +149,20 @@ def is_weighted_graph(state, tol: float = DEFAULT_TOL):
     equivalent to the existence of the parameterization, so no separate
     residual gate is applied.
     """
-    a, b, c, d = _coeffs(state)
+    coeff = _coeffs(state)
+    a, b, c, d = coeff
     if abs(abs(a) ** 2 + abs(b) ** 2 - 0.5) > tol:
         return None
     if abs(abs(c) ** 2 + abs(d) ** 2 - 0.5) > tol:
         return None
     if abs((a * np.conj(b)).real) > tol or abs((c * np.conj(d)).real) > tol:
         return None
+    return _weighted_graph_fit(coeff)
+
+
+def _weighted_graph_fit(coeff) -> WeightedGraphParams:
+    """Weighted-graph parameters of `coeff`, without checking the form."""
+    a, b, c, d = coeff
     theta1, phi1 = _polar_pair(a, b)
     theta2, phi2 = _polar_pair(d, c)
     chi = _wrap(2.0 * (phi1 - phi2) + np.pi)
@@ -216,9 +232,14 @@ def max_entangled_params(state, tol: float = DEFAULT_TOL):
     """
     coeff = _coeffs(state)
     a, b, c, d = coeff
-    det = abs(a * d - b * c) ** 2
-    if abs(det - 0.25) > tol:
+    if abs(abs(a * d - b * c) ** 2 - 0.25) > tol:
         return None
+    return _max_entangled_fit(coeff)
+
+
+def _max_entangled_fit(coeff) -> MaxEntangledParams:
+    """Closed-form maximally-entangled parameters of `coeff`, ungated."""
+    a, b, c, d = coeff
     phi = float(np.arctan2(abs(b), abs(a)))
     small = 1e-6
     if abs(a) > small:
@@ -304,11 +325,9 @@ def classify(state, arity: int = 1, tol: float = DEFAULT_TOL) -> Classification:
     if stab:
         labels.append("Stabilizer")
 
-    wg = is_weighted_graph(coeff, tol)
-    if wg is None and stab:
-        # a borderline stabilizer fit always admits the weighted-graph form;
-        # retry with the tolerance needed to absorb the rounding of |A|,|D|
-        wg = is_weighted_graph(coeff, 4.0 * tol)
+    # a stabilizer state is of weighted-graph form; fitting it directly keeps
+    # the rounding of |A|, |D| from breaking that containment
+    wg = _weighted_graph_fit(coeff) if stab else is_weighted_graph(coeff, tol)
     if (arity == 1 and wg is not None) or (arity == 2 and stab):
         labels.append("WeightedGraph")
 
@@ -319,8 +338,6 @@ def classify(state, arity: int = 1, tol: float = DEFAULT_TOL) -> Classification:
         # quadratically better conditioned than the direct form residual, so
         # it decides membership; recover the common angle from the fit
         cl = _cluster_from_weighted(wg)
-    if cl is None and stab:
-        cl = is_cluster_up_to_rotation(coeff, 4.0 * tol)
     if cl is not None:
         labels.append("ClusterUpToRotation")
         maxent = True
@@ -329,10 +346,6 @@ def classify(state, arity: int = 1, tol: float = DEFAULT_TOL) -> Classification:
     if not labels:
         labels.append("Generic")
 
-    me = max_entangled_params(coeff, tol) if maxent else None
-    if me is None and maxent:
-        me = max_entangled_params(coeff, max(tol, abs(det - 0.25) * 1.01))
-
     ordered = tuple(l for l in LABELS if l in labels)
     return Classification(
         labels=ordered,
@@ -340,5 +353,5 @@ def classify(state, arity: int = 1, tol: float = DEFAULT_TOL) -> Classification:
         phi=phi,
         weighted_graph=wg if "WeightedGraph" in ordered else None,
         cluster=cl,
-        max_entangled=me,
+        max_entangled=_max_entangled_fit(coeff) if maxent else None,
     )

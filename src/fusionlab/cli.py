@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="cross-check a matrix on a concrete fusion scenario")
     p.add_argument("scenario", help="scenario file: left/right graph blocks plus a fuse line")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
     p.add_argument("--out", help="write the comparison JSON here instead of stdout")
     p.set_defaults(func=_cmd_oracle)
 

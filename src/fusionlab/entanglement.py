@@ -150,14 +150,12 @@ def eigenvalues_from_det(det):
     return lam_hi, lam_lo
 
 
-def entropy(lam, base: str = "bits"):
-    """Binary entropy -lam log lam - (1-lam) log(1-lam) with 0 log 0 := 0.
+def entropy(lam):
+    """Binary entropy -lam log2 lam - (1-lam) log2(1-lam) with 0 log 0 := 0.
 
-    `lam` is the larger eigenvalue (in [1/2, 1]); scalar or array.  `base`
-    selects bits (log2, default) or nats (natural log).
+    `lam` is the larger eigenvalue (in [1/2, 1]); scalar or array.  The result
+    is in bits; reports convert to nats with `reports.entropy_scale`.
     """
-    if base not in ("bits", "nats"):
-        raise ValueError(f"base must be 'bits' or 'nats', got {base!r}")
     lam = np.asarray(lam, dtype=float)
     lo = 1.0 - lam
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -165,15 +163,13 @@ def entropy(lam, base: str = "bits"):
               + lo * np.log2(np.where(lo > 0, lo, 1.0)))
     # exact endpoints: lam in {0, 1} -> 0 (the 0 log 0 convention)
     s = np.where((lam <= 0.0) | (lo <= 0.0), 0.0, s)
-    if base == "nats":
-        s = s * _LN2
     return float(s) if s.ndim == 0 else s
 
 
-def entropy_from_det(det, base: str = "bits"):
-    """Entanglement entropy straight from the determinant (scalar or array)."""
+def entropy_from_det(det):
+    """Entanglement entropy in bits straight from the determinant (scalar or array)."""
     lam_hi, _ = eigenvalues_from_det(det)
-    return entropy(lam_hi, base=base)
+    return entropy(lam_hi)
 
 
 def _entropy_slope(det):
@@ -194,14 +190,14 @@ def _entropy_slope(det):
     return slope / _LN2
 
 
-def entropies_from_matrix(matrix, base: str = "bits") -> np.ndarray:
-    """Entropies of all six relevant outcomes, shape (..., 6)."""
-    return entropy_from_det(determinants_from_matrix(matrix), base=base)
+def entropies_from_matrix(matrix) -> np.ndarray:
+    """Entropies in bits of all six relevant outcomes, shape (..., 6)."""
+    return entropy_from_det(determinants_from_matrix(matrix))
 
 
-def outcome_entropy(outcome: Outcome, base: str = "bits") -> float:
-    """Entanglement entropy of one relevant outcome (0 for product states)."""
-    return float(entropy_from_det(determinant(outcome), base=base))
+def outcome_entropy(outcome: Outcome) -> float:
+    """Entanglement entropy in bits of one relevant outcome (0 for product states)."""
+    return float(entropy_from_det(determinant(outcome)))
 
 
 def schmidt(outcome: Outcome) -> tuple[float, float]:

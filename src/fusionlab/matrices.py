@@ -74,12 +74,13 @@ class DegenerateSampleError(FusionlabError, RuntimeError):
 # validation
 # --------------------------------------------------------------------------- #
 
-def validate_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
+def validate_unitary(matrix) -> np.ndarray:
     """Check that `matrix` is a 4x4 unitary and return it as complex128.
 
     Raises MalformedInputError for anything that is not a finite 4x4 numeric
     array, and NotUnitaryError (carrying `max_deviation`) when
-    max |U^H U - I| exceeds `tol`.
+    max |U^H U - I| exceeds UNITARY_TOL.  The tolerance is fixed because the
+    probability kernels downstream (`fusion.PROB_CLAMP`) are sized for it.
     """
     try:
         u = np.asarray(matrix, dtype=complex)
@@ -91,7 +92,7 @@ def validate_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
         raise MalformedInputError("matrix contains non-finite entries")
     dev = np.abs(u.conj().T @ u - np.eye(4))
     max_dev = float(dev.max())
-    if max_dev > tol:
+    if max_dev > UNITARY_TOL:
         raise NotUnitaryError(max_dev)
     return np.array(u, dtype=complex, order="C")
 
@@ -292,8 +293,8 @@ def params_from_matrix(matrix) -> np.ndarray:
     return out
 
 
-def random_params(rng, size=None, scale: float = np.pi) -> np.ndarray:
-    """Uniform parameter draws in [-scale, scale]^16 (optimizer initialization).
+def random_params(rng, size=None) -> np.ndarray:
+    """Uniform parameter draws in [-pi, pi]^16 (optimizer initialization).
 
     `size` may be None (one vector), an int, or a shape tuple; the parameter
     axis of length 16 is always appended last.
@@ -305,7 +306,7 @@ def random_params(rng, size=None, scale: float = np.pi) -> np.ndarray:
         shape = (int(size), 16)
     else:
         shape = tuple(int(s) for s in size) + (16,)
-    return rng.uniform(-scale, scale, size=shape)
+    return rng.uniform(-np.pi, np.pi, size=shape)
 
 
 # --------------------------------------------------------------------------- #
@@ -343,7 +344,7 @@ def matrix_to_json(matrix) -> dict:
     }
 
 
-def matrix_from_json(obj, tol: float = UNITARY_TOL) -> np.ndarray:
+def matrix_from_json(obj) -> np.ndarray:
     """Decode the {"matrix": ...} layout and validate unitarity."""
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise MalformedInputError('expected an object with a "matrix" key')
@@ -355,7 +356,7 @@ def matrix_from_json(obj, tol: float = UNITARY_TOL) -> np.ndarray:
         )
     except (TypeError, ValueError, IndexError) as exc:
         raise MalformedInputError(f"bad matrix entries: {exc}") from exc
-    return validate_unitary(u, tol=tol)
+    return validate_unitary(u)
 
 
 def save_matrix(path, matrix) -> None:
@@ -363,21 +364,21 @@ def save_matrix(path, matrix) -> None:
     reports.atomic_write_text(path, json.dumps(matrix_to_json(matrix), indent=2) + "\n")
 
 
-def load_matrix(path, tol: float = UNITARY_TOL) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedInputError(f"{path}: invalid JSON: {exc}") from exc
-    return matrix_from_json(obj, tol=tol)
+    return matrix_from_json(obj)
 
 
-def resolve_matrix(source: str, tol: float = UNITARY_TOL) -> np.ndarray:
+def resolve_matrix(source: str) -> np.ndarray:
     """Resolve a builtin name or a JSON file path to a validated matrix."""
     if source in _BUILTINS:
         return builtin(source)
     if os.path.exists(source):
-        return load_matrix(source, tol=tol)
+        return load_matrix(source)
     raise MalformedInputError(
         f"{source!r} is neither a builtin name ({', '.join(BUILTIN_NAMES)}) "
         "nor an existing file"

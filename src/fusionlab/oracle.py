@@ -29,6 +29,8 @@ from .matrices import FusionlabError, MalformedInputError, validate_unitary
 
 __all__ = [
     "MAX_QUBITS",
+    "DEFAULT_TOL",
+    "STATE_TOL",
     "TooManyQubits",
     "ZeroOverlap",
     "GraphSpec",
@@ -54,6 +56,18 @@ __all__ = [
 ]
 
 MAX_QUBITS = 14
+
+# agreement demanded of `compare_scenario` between the projector and the
+# closed forms (weight and cut entropy); outcomes at or below it in
+# probability are skipped.  `fusionlab oracle --tol` defaults to it.
+DEFAULT_TOL = 1e-9
+
+# stabilizer eigen-equations and the weighted-graph overlap are met by a
+# correct state vector to this accuracy
+STATE_TOL = 1e-10
+
+# a projection whose result has a smaller norm than this annihilated the state
+_NORM_FLOOR = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -248,12 +262,6 @@ def build_graph_state(g: GraphSpec) -> np.ndarray:
     return psi
 
 
-def _apply_z(state: np.ndarray, axis: int) -> np.ndarray:
-    out = state.copy()
-    out[_at(out.ndim, {axis: 1})] *= -1.0
-    return out
-
-
 def _apply_k(state: np.ndarray, axis: int, neighbors) -> np.ndarray:
     """X on `axis`, Z on each neighbor axis."""
     out = state.copy()
@@ -262,13 +270,13 @@ def _apply_k(state: np.ndarray, axis: int, neighbors) -> np.ndarray:
     return np.flip(out, axis=axis)
 
 
-def check_stabilizers(state: np.ndarray, g: GraphSpec, tol: float = 1e-10) -> bool:
+def check_stabilizers(state: np.ndarray, g: GraphSpec) -> bool:
     """True iff K_a state = (-1)^{k_a} state for every vertex (plain edges only)."""
     if g.special_edge is not None:
         raise ValueError("stabilizer check is only defined for unweighted graphs")
     for a in range(g.n):
         expect = (-1.0) ** g.k_flags[a] * state
-        if np.max(np.abs(_apply_k(state, a, g.neighbors(a)) - expect)) > tol:
+        if np.max(np.abs(_apply_k(state, a, g.neighbors(a)) - expect)) > STATE_TOL:
             return False
     return True
 
@@ -292,7 +300,7 @@ def merge_logical(state: np.ndarray, a: int, e: int):
     new_axis = a - 1 if e < a else a
     merged = np.stack([block0, block1], axis=new_axis)
     weight = float(np.linalg.norm(merged))
-    if weight <= 1e-12:
+    if weight <= _NORM_FLOOR:
         raise ZeroOverlap("state has no component in the logical subspace")
     return merged / weight, weight
 
@@ -328,7 +336,7 @@ def apply_fusion_projector(state: np.ndarray, a: int, b: int, coeffs):
             blocks[(x, y)] = state[_at(state.ndim, {a: x, b: y})]
     new = ca * blocks[0, 0] + cb * blocks[0, 1] + cc * blocks[1, 0] + cd * blocks[1, 1]
     weight = float(np.sum(np.abs(new) ** 2))
-    if weight <= 1e-24:
+    if weight <= _NORM_FLOOR**2:
         raise ZeroOverlap("fusion projector annihilated the state")
     return new / np.sqrt(weight), weight
 
@@ -476,9 +484,7 @@ def fuse(scenario: FusionScenario, coeffs) -> FusionRun:
 # stabilizer / weighted-graph verdicts on post-fusion states
 
 
-def check_Te_stabilizer(
-    state: np.ndarray, scenario: FusionScenario, phi: float, tol: float = 1e-10
-) -> bool:
+def check_Te_stabilizer(state: np.ndarray, scenario: FusionScenario, phi: float) -> bool:
     """Verify the stabilizer structure of a fused state with phase `phi`.
 
     The carrier qubit's generator is T_e prod_{c in n(a) U n(b)} Z_c with
@@ -506,7 +512,7 @@ def check_Te_stabilizer(
     work[_at(work.ndim, {e_axis: 0})] *= np.exp(-1j * phi)
     work[_at(work.ndim, {e_axis: 1})] *= np.exp(1j * phi)
     carrier_sign = (-1.0) ** (scenario.left.k_flags[scenario.a] + scenario.right.k_flags[scenario.b])
-    if np.max(np.abs(work - carrier_sign * state)) > tol:
+    if np.max(np.abs(work - carrier_sign * state)) > STATE_TOL:
         return False
 
     flip_allowed = {right_axes[c] for c in scenario.right.neighbors(scenario.b)}
@@ -517,9 +523,9 @@ def check_Te_stabilizer(
         signs[ax] = (-1.0) ** scenario.right.k_flags[w]
     for ax, sign in signs.items():
         kv = _apply_k(state, ax, adj[ax])
-        if np.max(np.abs(kv - sign * state)) <= tol:
+        if np.max(np.abs(kv - sign * state)) <= STATE_TOL:
             continue
-        if ax in flip_allowed and np.max(np.abs(kv + sign * state)) <= tol:
+        if ax in flip_allowed and np.max(np.abs(kv + sign * state)) <= STATE_TOL:
             continue
         return False
     return True
@@ -548,7 +554,7 @@ def _best_phase_alignment(c00, c01, c10, c11, iters: int = 60) -> float:
 
 
 def check_weighted_graph_equivalence(
-    state: np.ndarray, scenario: FusionScenario, chi: float, tol: float = 1e-10
+    state: np.ndarray, scenario: FusionScenario, chi: float
 ) -> bool:
     """Is the fused state a weighted-graph state with edge weight chi?
 
@@ -556,7 +562,7 @@ def check_weighted_graph_equivalence(
     diag(1,1,1,e^{i chi}) instead of CZ, where d is b's single neighbor.  The
     residual single-qubit freedoms are diagonal phase rotations on e and d
     plus a global phase; their optimum is found by exact phase alignment, and
-    the state passes iff the maximized overlap reaches 1 - tol.
+    the state passes iff the maximized overlap reaches 1 - STATE_TOL.
     """
     if scenario.arity != 1:
         raise ValueError("the weighted-graph verdict applies to single-neighbor fusions")
@@ -583,7 +589,7 @@ def check_weighted_graph_equivalence(
     achieved = _best_phase_alignment(
         overlaps[0, 0], overlaps[0, 1], overlaps[1, 0], overlaps[1, 1]
     )
-    return achieved >= 1.0 - tol
+    return achieved >= 1.0 - STATE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +647,7 @@ def bosonic_outcome_table(matrix) -> OutcomeTable:
 # scenario-level comparison report
 
 
-def compare_scenario(scenario: FusionScenario, matrix, tol: float = 1e-9) -> dict:
+def compare_scenario(scenario: FusionScenario, matrix, tol: float = DEFAULT_TOL) -> dict:
     """Cross-check every relevant outcome of `matrix` on a concrete scenario.
 
     Compares projector weight against the closed-form probability and the
@@ -659,7 +665,7 @@ def compare_scenario(scenario: FusionScenario, matrix, tol: float = 1e-9) -> dic
     rows = []
     for outcome in table.relevant:
         row: dict = {"channels": [outcome.i, outcome.j], "probability": outcome.probability}
-        if outcome.probability <= 1e-9:
+        if outcome.probability <= DEFAULT_TOL:
             row["skipped"] = "zero probability"
             row["pass"] = True
             rows.append(row)
@@ -706,59 +712,25 @@ def compare_scenario(scenario: FusionScenario, matrix, tol: float = 1e-9) -> dic
 # random instances for property suites
 
 
-def random_graph_spec(rng: np.random.Generator, n: int, extra_edge_prob: float = 0.3) -> GraphSpec:
-    """Random connected graph: a random spanning tree plus optional extras."""
+def random_graph_spec(rng: np.random.Generator, n: int) -> GraphSpec:
+    """Random connected graph: a random spanning tree plus extra edges (p = 0.3 each)."""
     edges = set()
     for v in range(1, n):
         u = int(rng.integers(0, v))
         edges.add((u, v))
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < extra_edge_prob:
+            if (u, v) not in edges and rng.random() < 0.3:
                 edges.add((u, v))
     return graph(n, edges)
 
 
 def random_scenario(
-    rng: np.random.Generator,
-    n_left: int = 3,
-    n_right: int = 3,
-    arity: int | None = None,
-    logical_partner: bool = True,
+    rng: np.random.Generator, n_left: int = 3, n_right: int = 3
 ) -> FusionScenario:
-    """Random two-cluster scenario; `arity` pins b's neighbor count if given."""
+    """Random two-cluster scenario with random marked qubits and a logical partner."""
     left = random_graph_spec(rng, n_left)
     right = random_graph_spec(rng, n_right)
     a = int(rng.integers(0, n_left))
     b = int(rng.integers(0, n_right))
-    if arity is not None:
-        if not 1 <= arity < n_right:
-            raise ValueError(f"arity {arity} impossible with {n_right} vertices")
-        others = [v for v in range(n_right) if v != b]
-        picked = rng.choice(len(others), size=arity, replace=False)
-        edges = [e for e in right.edges if b not in e]
-        edges += [(b, others[int(p)]) for p in picked]
-        # keep the graph connected: attach every vertex cut off by the
-        # rewiring to b's component, without touching b itself
-        adj = {v: set() for v in range(n_right)}
-        for (x, y) in edges:
-            adj[x].add(y)
-            adj[y].add(x)
-        seen = {b}
-        frontier = [b]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        for v in range(n_right):
-            if v not in seen:
-                hosts = [w for w in sorted(seen) if w != b]
-                edges.append((v, hosts[int(rng.integers(0, len(hosts)))]))
-                seen.add(v)
-        right = graph(n_right, edges)
-        if right.degree(b) != arity:
-            # the orphan repair never touches b, so this cannot happen
-            raise AssertionError("arity rewiring failed")
-    return FusionScenario(left=left, a=a, right=right, b=b, logical_partner=logical_partner)
+    return FusionScenario(left=left, a=a, right=right, b=b)

@@ -11,15 +11,13 @@ catch a broken build; it exists for negative-control tests only.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classify, entanglement, fusion, matrices, optimize, oracle
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "run_suites", "max_workers"]
+__all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
 
 _SUITES: list[tuple[str, object]] = []
 
@@ -63,17 +61,6 @@ class _Counter:
 
     def result(self, name: str) -> SuiteResult:
         return SuiteResult(name, self.passed, self.failed, "; ".join(self.notes))
-
-
-def max_workers() -> int:
-    """Worker cap for parallel scenario batches, from FUSIONLAB_THREADS."""
-    env = os.environ.get("FUSIONLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +435,6 @@ def _suite_bosonic_equivalence(rng, trials, fault):
     return c
 
 
-def _one_scenario(args):
-    seed, size_l, size_r, use_builtin = args
-    rng = np.random.default_rng(seed)
-    sc = oracle.random_scenario(rng, n_left=size_l, n_right=size_r)
-    u = (
-        matrices.builtin(("pbs2", "theorem7")[seed % 2])
-        if use_builtin
-        else matrices.haar_sample(rng)
-    )
-    return oracle.compare_scenario(sc, u)
-
-
 @_suite("graph_oracle")
 def _suite_graph_oracle(rng, trials, fault):
     c = _Counter()
@@ -468,14 +443,18 @@ def _suite_graph_oracle(rng, trials, fault):
         state = oracle.build_graph_state(g)
         c.check(oracle.check_stabilizers(state, g), "graph state eigen-equations")
 
-    n_scen = min(max(trials // 10, 5), 40)
-    jobs = []
-    for k in range(n_scen):
+    # each scenario draws from its own seeded generator
+    for k in range(min(max(trials // 10, 5), 40)):
         size_l, size_r = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        jobs.append((int(rng.integers(2**31)), size_l, size_r, k % 3 == 0))
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        for rep in pool.map(_one_scenario, jobs):
-            c.check(rep["pass"], "projector weight / entropy / classification")
+        seed = int(rng.integers(2**31))
+        sub = np.random.default_rng(seed)
+        sc = oracle.random_scenario(sub, n_left=size_l, n_right=size_r)
+        if k % 3 == 0:
+            u = matrices.builtin(("pbs2", "theorem7")[seed % 2])
+        else:
+            u = matrices.haar_sample(sub)
+        rep = oracle.compare_scenario(sc, u)
+        c.check(rep["pass"], "projector weight / entropy / classification")
     return c
 
 

@@ -111,7 +111,8 @@ def test_weighted_graph_det_identity():
 
 
 def test_weighted_graph_rejects_generic():
-    assert is_weighted_graph(np.array([0.8, 0.1, 0.1, 0.5703508j])) is None
+    c = np.array([0.8, 0.1, 0.1, 0.5703508j])
+    assert is_weighted_graph(c / np.linalg.norm(c)) is None
 
 
 def test_cluster_form_and_round_trip():
@@ -220,3 +221,68 @@ def test_tolerance_monotonicity():
 def test_shape_validation():
     with pytest.raises(ValueError):
         classify(np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "check", [classify, is_product, is_stabilizer, is_weighted_graph,
+              is_cluster_up_to_rotation, max_entangled_params],
+)
+def test_unnormalized_quadruple_rejected(check):
+    # the zero vector once classified as Product, Stabilizer and
+    # MaxEntangledGeneric at once
+    with pytest.raises(ValueError):
+        check(np.zeros(4))
+    # the raw coefficients of a live outcome have norm 2 sqrt(p), not 1
+    raw = fusion.outcome_coefficients(matrices.builtin("pbs2"), 1, 3).raw
+    with pytest.raises(ValueError):
+        check(np.array(raw))
+    with pytest.raises(ValueError):
+        check(np.array([np.nan, 0.0, 0.0, 1.0]))
+    # a predicate has no answer for an outcome that never fires
+    zero = fusion.outcome_coefficients(matrices.builtin("pbs2"), 1, 2)
+    if check is not classify:
+        with pytest.raises(ValueError):
+            check(zero)
+    # a norm within matrices.UNITARY_TOL of 1 is accepted
+    check(np.array([0.0, INV_SQRT2, INV_SQRT2, 0.0]) * (1.0 + 0.5 * matrices.UNITARY_TOL))
+
+
+def _perturbed(rng, c, tol):
+    """`c` moved by 0.2 to 5 tol in a random direction.
+
+    The result is renormalized only when its norm has left the band that
+    classify accepts, so small tolerances also see norms a little off 1.
+    """
+    z = rng.normal(size=4) + 1j * rng.normal(size=4)
+    c = c + rng.uniform(0.2, 5.0) * tol * z / np.linalg.norm(z)
+    norm = np.linalg.norm(c)
+    return c / norm if abs(norm - 1.0) > matrices.UNITARY_TOL else c
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("tol", [1e-10, 1e-8, 1e-6, 1e-4])
+def test_label_containments_near_the_forms(tol, arity):
+    rng = np.random.default_rng([arity, int(-np.log10(tol))])
+    for k in range(300):
+        t1, t2, f1, f2 = rng.uniform(-np.pi, np.pi, 4)
+        if k % 3 == 0:  # stabilizer, both branches
+            ph = np.exp(1j * np.array([t1, t2])) * INV_SQRT2
+            c = np.array([0, ph[0], ph[1], 0]) if k % 2 else np.array([ph[0], 0, 0, ph[1]])
+        elif k % 3 == 1:
+            c = _wg_coeffs(t1, f1, t2, f2)
+        else:
+            c = _wg_coeffs(t1, f1, t2, f1)  # cluster
+        res = classify(_perturbed(rng, c, tol), arity=arity, tol=tol)
+        labels = set(res.labels)
+        if arity == 1 and "Stabilizer" in labels:
+            assert "WeightedGraph" in labels, res
+        if "Stabilizer" in labels:
+            assert "ClusterUpToRotation" in labels, res
+        if "ClusterUpToRotation" in labels:
+            assert "MaxEntangledGeneric" in labels, res
+        # every label carries its parameters, and no parameters come unlabelled
+        assert (res.max_entangled is not None) == ("MaxEntangledGeneric" in labels), res
+        assert (res.cluster is not None) == ("ClusterUpToRotation" in labels), res
+        assert (res.weighted_graph is not None) == ("WeightedGraph" in labels), res
+        assert (res.phi is not None) == ("Stabilizer" in labels), res
+        assert "Generic" not in labels or len(labels) == 1, res

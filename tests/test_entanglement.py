@@ -53,15 +53,6 @@ def test_entropy_from_det_values():
     )
 
 
-def test_entropy_nats():
-    s_bits = entanglement.entropy_from_det(0.2)
-    s_nats = entanglement.entropy_from_det(0.2, base="nats")
-    assert s_nats == pytest.approx(0.58951448573504817, abs=1e-15)
-    assert s_nats == pytest.approx(s_bits * np.log(2.0), abs=1e-15)
-    with pytest.raises(ValueError):
-        entanglement.entropy_from_det(0.2, base="dits")
-
-
 def test_boundary_snap():
     # determinants a hair under 1/4 are treated as exactly maximal ...
     assert entanglement.entropy_from_det(0.25 - 5e-14) == 1.0

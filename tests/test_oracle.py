@@ -23,7 +23,6 @@ from fusionlab.oracle import (
     parse_graph_spec,
     parse_scenario,
     random_graph_spec,
-    random_scenario,
     state_overlap,
 )
 
@@ -365,21 +364,6 @@ def test_random_graphs_are_connected():
                 seen.add(w)
                 frontier.append(w)
         assert len(seen) == g.n
-
-
-@pytest.mark.parametrize("arity", [1, 2])
-def test_random_scenario_pins_arity(arity):
-    rng = np.random.default_rng(arity)
-    for _ in range(10):
-        sc = random_scenario(rng, n_left=3, n_right=4, arity=arity)
-        assert sc.arity == arity
-        assert sc.right.degree(sc.b) == arity
-
-
-def test_random_scenario_arity_bounds():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        random_scenario(rng, n_right=3, arity=3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import pytest
 
-from fusionlab import verify
 from fusionlab.verify import SUITE_NAMES, run_suites
 
 
@@ -63,14 +62,3 @@ def test_unknown_suite_rejected():
 def test_trials_validation():
     with pytest.raises(ValueError):
         run_suites(trials=0)
-
-
-def test_max_workers_env(monkeypatch):
-    monkeypatch.setenv("FUSIONLAB_THREADS", "2")
-    assert verify.max_workers() == 2
-    monkeypatch.setenv("FUSIONLAB_THREADS", "0")
-    assert verify.max_workers() == 1
-    monkeypatch.setenv("FUSIONLAB_THREADS", "many")
-    assert verify.max_workers() >= 1
-    monkeypatch.delenv("FUSIONLAB_THREADS")
-    assert 1 <= verify.max_workers() <= 4
