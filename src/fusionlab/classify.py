@@ -27,9 +27,10 @@ paradoxical label set: once Stabilizer or maximal entanglement is decided,
 `classify` takes the weighted-graph and maximally-entangled parameters from
 the ungated fits instead of re-testing their forms.  A quadruple whose norm
 is further than `matrices.UNITARY_TOL` from 1, such as the all-zero
-coefficients of a zero-probability Outcome, is rejected with ValueError;
-`classify` itself labels such an Outcome Product with its
-`zero_probability` flag set.
+coefficients of a zero-probability Outcome, is rejected with ValueError, as
+is a `tol` that is NaN, infinite or negative; `classify` itself labels such
+an Outcome Product with its `zero_probability` flag set.  `classify`
+validates the quadruple once and then runs the predicates' unchecked forms.
 
 The weighted-graph reading of a partner qubit with two neighbors is only
 available in the stabilizer case, so with `arity=2` the WeightedGraph label
@@ -95,7 +96,16 @@ class MaxEntangledParams(NamedTuple):
     phi: float
 
 
-def _coeffs(state) -> np.ndarray:
+def _check_tol(tol: float) -> None:
+    """ValueError unless `tol` is a finite number >= 0 (NaN fails)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _coeffs(state, tol: float) -> np.ndarray:
+    """The validated quadruple of `state`; ValueError for a tolerance that is
+    NaN, infinite or negative, or a quadruple whose norm is off 1."""
+    _check_tol(tol)
     c = state.coefficients if isinstance(state, Outcome) else np.asarray(state, dtype=complex)
     if c.shape != (4,):
         raise ValueError(f"expected 4 coefficients, got shape {c.shape}")
@@ -111,7 +121,11 @@ def _wrap(angle: float) -> float:
 
 
 def is_product(state, tol: float = DEFAULT_TOL) -> bool:
-    a, b, c, d = _coeffs(state)
+    return _product(_coeffs(state, tol), tol)
+
+
+def _product(coeff, tol: float) -> bool:
+    a, b, c, d = coeff
     return bool(abs(a * d - b * c) <= tol)
 
 
@@ -121,7 +135,11 @@ def is_stabilizer(state, tol: float = DEFAULT_TOL):
     For B = C = 0 the phase satisfies D = e^{i Phi} A; for A = D = 0 it
     satisfies C = e^{i Phi} B.  Returned in [0, 2 pi).
     """
-    a, b, c, d = _coeffs(state)
+    return _stabilizer(_coeffs(state, tol), tol)
+
+
+def _stabilizer(coeff, tol: float):
+    a, b, c, d = coeff
     if abs(b) <= tol and abs(c) <= tol and abs(abs(a) - abs(d)) <= tol:
         return _wrap(np.angle(d) - np.angle(a))
     if abs(a) <= tol and abs(d) <= tol and abs(abs(b) - abs(c)) <= tol:
@@ -149,7 +167,10 @@ def is_weighted_graph(state, tol: float = DEFAULT_TOL):
     equivalent to the existence of the parameterization, so no separate
     residual gate is applied.
     """
-    coeff = _coeffs(state)
+    return _weighted_graph(_coeffs(state, tol), tol)
+
+
+def _weighted_graph(coeff, tol: float):
     a, b, c, d = coeff
     if abs(abs(a) ** 2 + abs(b) ** 2 - 0.5) > tol:
         return None
@@ -186,7 +207,10 @@ def is_cluster_up_to_rotation(state, tol: float = DEFAULT_TOL):
     the leftover pi ambiguities (two per side) are settled by the
     reconstruction residual.
     """
-    coeff = _coeffs(state)
+    return _cluster(_coeffs(state, tol), tol)
+
+
+def _cluster(coeff, tol: float):
     a, b, c, d = coeff
     u1, v1 = _SQRT2 * a, -1j * _SQRT2 * b
     u2, v2 = _SQRT2 * d, -1j * _SQRT2 * c
@@ -230,7 +254,7 @@ def max_entangled_params(state, tol: float = DEFAULT_TOL):
     parameters are the closed-form fit (exact for states exactly on the
     manifold).
     """
-    coeff = _coeffs(state)
+    coeff = _coeffs(state, tol)
     a, b, c, d = coeff
     if abs(abs(a * d - b * c) ** 2 - 0.25) > tol:
         return None
@@ -311,28 +335,29 @@ def classify(state, arity: int = 1, tol: float = DEFAULT_TOL) -> Classification:
     """
     if arity not in (1, 2):
         raise ValueError(f"arity must be 1 or 2, got {arity}")
+    _check_tol(tol)
     if isinstance(state, Outcome) and state.zero_probability:
         return Classification(labels=("Product",), arity=arity, zero_probability=True)
-    coeff = _coeffs(state)
+    coeff = _coeffs(state, tol)
     a, b, c, d = coeff
     det = abs(a * d - b * c) ** 2
 
     labels: list[str] = []
-    if is_product(coeff, tol):
+    if _product(coeff, tol):
         labels.append("Product")
-    phi = is_stabilizer(coeff, tol)
+    phi = _stabilizer(coeff, tol)
     stab = phi is not None
     if stab:
         labels.append("Stabilizer")
 
     # a stabilizer state is of weighted-graph form; fitting it directly keeps
     # the rounding of |A|, |D| from breaking that containment
-    wg = _weighted_graph_fit(coeff) if stab else is_weighted_graph(coeff, tol)
+    wg = _weighted_graph_fit(coeff) if stab else _weighted_graph(coeff, tol)
     if (arity == 1 and wg is not None) or (arity == 2 and stab):
         labels.append("WeightedGraph")
 
     maxent = abs(det - 0.25) <= tol or stab
-    cl = is_cluster_up_to_rotation(coeff, tol)
+    cl = _cluster(coeff, tol)
     if cl is None and wg is not None and maxent:
         # near the maximal-entanglement manifold the determinant criterion is
         # quadratically better conditioned than the direct form residual, so

@@ -220,6 +220,18 @@ def _hermitian_from_params(params: np.ndarray) -> np.ndarray:
     return h
 
 
+def _params_from_hermitian(h: np.ndarray) -> np.ndarray:
+    """Inverse of `_hermitian_from_params`: (..., 4, 4) -> (..., 16), reading
+    the diagonal and the strict upper triangle."""
+    out = np.empty(h.shape[:-2] + (16,))
+    idx = np.arange(4)
+    out[..., :4] = h[..., idx, idx].real
+    off = h[..., _TRIU_ROWS, _TRIU_COLS]
+    out[..., 4::2] = off.real
+    out[..., 5::2] = off.imag
+    return out
+
+
 def _exp_eigh(params):
     """(w, v, exp(i H)) with H = v diag(w) v^H the generator of `params`."""
     w, v = np.linalg.eigh(_hermitian_from_params(params))
@@ -238,41 +250,6 @@ def from_params(params) -> np.ndarray:
     return _exp_eigh(params)[2]
 
 
-def _exp_jvp(params):
-    """exp(i H) and its partial derivatives along the 16 parameters.
-
-    Daleckii-Krein: with H = V diag(w) V^H, the derivative of exp(i H) along
-    a Hermitian direction E is V (Phi o V^H E V) V^H with the divided
-    differences Phi_ab = (e^{i w_a} - e^{i w_b}) / (w_a - w_b), which tend to
-    i e^{i w_a} as w_b -> w_a.  They are evaluated as
-    i e^{i (w_a + w_b) / 2} sinc((w_a - w_b) / 2), which is the same number
-    and needs no special case for (near-)equal eigenvalues.  Every parameter
-    direction E_k is a sum of at most two matrix units e_x e_y^T, so
-    V^H E_k V is built from outer products of rows of V.
-
-    Input (..., 16); returns u (..., 4, 4) as `from_params` builds it and
-    du (..., 16, 4, 4) with du[..., k, :, :] = d u / d params_k.
-    """
-    w, v, u = _exp_eigh(params)
-    batch = v.shape[:-2]
-    half = 0.5 * (w[..., :, None] - w[..., None, :])
-    phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(half / np.pi)
-    vh = v.conj().swapaxes(-1, -2)
-    # outer[..., a, x, y, b] = conj(v[x, a]) v[y, b], i.e. (V^H e_x e_y^T V)_ab
-    outer = vh[..., :, :, None, None] * v[..., None, None, :, :]
-    fwd = outer[..., :, _TRIU_ROWS, _TRIU_COLS, :]
-    bwd = outer[..., :, _TRIU_COLS, _TRIU_ROWS, :]
-    g = np.empty(batch + (4, 16, 4), dtype=complex)  # (a, direction, b)
-    idx = np.arange(4)
-    g[..., :4, :] = outer[..., :, idx, idx, :]
-    g[..., 4::2, :] = fwd + bwd
-    g[..., 5::2, :] = 1j * (fwd - bwd)
-    # V (Phi o G_k) V^H for all 16 directions as two matrix products per restart
-    left = v @ (phi[..., :, None, :] * g).reshape(batch + (4, 64))
-    du = left.reshape(batch + (4, 16, 4)).swapaxes(-3, -2).reshape(batch + (64, 4)) @ vh
-    return u, du.reshape(batch + (16, 4, 4))
-
-
 def params_from_matrix(matrix) -> np.ndarray:
     """Inverse of `from_params` on the principal branch.
 
@@ -284,13 +261,7 @@ def params_from_matrix(matrix) -> np.ndarray:
     w, v = np.linalg.eig(u)
     phases = np.angle(w)
     h = (v * phases) @ np.linalg.inv(v)
-    h = 0.5 * (h + h.conj().T)  # remove the anti-Hermitian numerical residue
-    out = np.empty(16, dtype=float)
-    out[:4] = h.diagonal().real
-    off = h[_TRIU_ROWS, _TRIU_COLS]
-    out[4::2] = off.real
-    out[5::2] = off.imag
-    return out
+    return _params_from_hermitian(0.5 * (h + h.conj().T))  # drop the anti-Hermitian residue
 
 
 def random_params(rng, size=None) -> np.ndarray:

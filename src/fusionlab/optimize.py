@@ -8,14 +8,16 @@ the 16-dimensional exp(iH) parameterization, restarted from the best of a
 scored candidate pool, with all restarts advancing together as one numpy
 batch.  An objective supplies only its hard value, its signed gap
 p_total - p_target (0 in threshold mode) and its phase schedule of
-gradients; the engine owns pool scoring, best-point tracking and the final
-merge with the builtin matrices.
+per-outcome gradient weights; the engine owns the gradient, pool scoring,
+best-point tracking and the final merge with the builtin matrices.
 
-Gradients are exact and forward-mode, one eigendecomposition of H per restart
-and iteration: the 16 generator directions are pushed through exp(iH) with
-the Daleckii-Krein divided-difference formula (Najfeld & Havel, Adv. Appl.
-Math. 16, 1995), and the closed forms of p_ij, of the factored determinant
-det_ij and of S(det) are differentiated along each direction (`_tangents`).
+Gradients are exact and reverse-mode, one eigendecomposition of H per restart
+and iteration.  Every descent direction is a weighted sum
+sum_k a_k dp_k + b_k p_k dS_k (+ c dp_diag) over the six relevant outcomes,
+so the engine builds its gradient with respect to U in closed form from the
+forward pass and pulls it back once through exp(iH) with the Daleckii-Krein
+divided-difference formula (`_pullback`; Najfeld & Havel, Adv. Appl. Math.
+16, 1995; Giles, Oxford NA report 08/01, 2008).
 
 P(s) is a sum of indicator terms, so its descent runs on a logistic-smoothed
 surrogate with the temperature annealed through `ANNEAL_SCHEDULE`; reported
@@ -34,6 +36,8 @@ through matrices with determinant 1/4 - O(1e-10) whose entropy rounds below
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -62,11 +66,13 @@ STATES_P_FLOOR = 1e-6
 
 
 class _Phase(NamedTuple):
-    """From iteration `start` on, descend along `grad(tangents, gap)`, an
-    (R, 16) array; `reset` starts the phase with zero velocity."""
+    """From iteration `start` on, descend along
+    sum_k a_k dp_k + b_k p_k dS_k + c dp_diag (see `_pullback`) with the
+    per-outcome weights (a, b, c) = `weights(s, gap)` of the current point;
+    `reset` starts the phase with zero velocity."""
 
     start: int
-    grad: Callable
+    weights: Callable
     reset: bool
 
 
@@ -84,6 +90,8 @@ class ExpectationEntropy:
     def __post_init__(self):
         if not 0.5 - 1e-12 <= self.p_target <= 1.0 + 1e-12:
             raise ValueError(f"p_target must lie in [0.5, 1], got {self.p_target}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     @property
     def _target(self) -> float:
@@ -96,13 +104,11 @@ class ExpectationEntropy:
     def _phases(self, iterations: int):
         """Quadratic penalty, then the exact L1 penalty with fresh momentum."""
 
-        def quadratic(t, gap):
-            g_s, g_p = _expectation_grads(t)
-            return 2.0 * self.alpha * gap[:, None] * g_p - g_s
+        def quadratic(s, gap):
+            return 2.0 * self.alpha * gap[:, None] - s, -1.0, 0.0
 
-        def exact(t, gap):
-            g_s, g_p = _expectation_grads(t)
-            return L1_BETA * np.sign(gap)[:, None] * g_p - g_s
+        def exact(s, gap):
+            return L1_BETA * np.sign(gap)[:, None] - s, -1.0, 0.0
 
         return [_Phase(0, quadratic, False), _Phase(iterations // 3, exact, True)]
 
@@ -141,11 +147,16 @@ class ThresholdProbability:
     def _phases(self, iterations: int):
         """One equal segment of the logistic surrogate per temperature."""
         seg = max(iterations // len(ANNEAL_SCHEDULE), 1)
+        return [
+            _Phase(k * seg, functools.partial(self._surrogate, tau), False)
+            for k, tau in enumerate(ANNEAL_SCHEDULE)
+        ]
 
-        def surrogate(tau):
-            return lambda t, gap: -_threshold_grad(t, self.s_target_bits, tau)
-
-        return [_Phase(k * seg, surrogate(tau), False) for k, tau in enumerate(ANNEAL_SCHEDULE)]
+    def _surrogate(self, tau, s, gap):
+        """Weights that descend on -(sum p sigma((S - s) / tau) + sigma(-s / tau) p_diag)."""
+        sig = _logistic((s - self.s_target_bits) / tau)
+        c = -_logistic(-self.s_target_bits / tau) if self._diag else 0.0
+        return -sig, -sig * (1.0 - sig) / tau, c
 
 
 @dataclass(frozen=True)
@@ -159,8 +170,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if min(self.restarts, self.init_samples, self.iterations) < 1:
             raise ValueError("restarts, init_samples and iterations must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
 
 @dataclass(frozen=True)
@@ -193,10 +204,11 @@ class OptResult:
 # objectives
 
 
-def _p_and_s(u: np.ndarray):
-    """Relevant probabilities and entropies of a matrix batch, p computed once."""
+def _outcomes(u: np.ndarray):
+    """(p, det, S) of the six relevant outcomes of a matrix batch, p computed once."""
     p = fusion.relevant_probabilities(u)
-    return p, entanglement.entropy_from_det(entanglement._determinants(u, p))
+    det = entanglement._determinants(u, p)
+    return p, det, entanglement.entropy_from_det(det)
 
 
 def _diag_total(u: np.ndarray) -> np.ndarray:
@@ -214,7 +226,7 @@ def _hard_threshold(p_rel, s, s_target: float, p_diag=None):
 
 def _S_exp_p_total(u: np.ndarray):
     """(<S>, p_total) of a matrix batch."""
-    p, s = _p_and_s(u)
+    p, _, s = _outcomes(u)
     return np.sum(p * s, axis=-1), np.sum(p, axis=-1)
 
 
@@ -232,7 +244,7 @@ def threshold_probability(matrix, s_target_bits: float):
     S = 0 and therefore enter only at s_target <= 0 (where P = 1).
     """
     u = np.asarray(matrix, dtype=complex)
-    p_rel, s = _p_and_s(u)
+    p_rel, _, s = _outcomes(u)
     p_diag = _diag_total(u) if s_target_bits <= 0.0 else None
     total = _hard_threshold(p_rel, s, s_target_bits, p_diag)
     return float(total) if u.ndim == 2 else total
@@ -243,7 +255,7 @@ def _logistic(x):
 
 
 def _states_used(matrix, s_ref: float) -> int:
-    p, s = _p_and_s(matrix)
+    p, _, s = _outcomes(matrix)
     return int(np.sum((p > STATES_P_FLOOR) & (s >= s_ref - 1e-9)))
 
 
@@ -251,87 +263,63 @@ def _states_used(matrix, s_ref: float) -> int:
 # exact gradients
 
 
-class _Tangents(NamedTuple):
-    """Objective pieces of a restart batch and their 16 partial derivatives.
-
-    p, s: (R, 6) relevant probabilities and entropies, computed exactly as
-    the hard objectives compute them; dp: (R, 16, 6) partials of p; pds:
-    (R, 16, 6) p times the partials of S, which stays finite as p -> 0;
-    p_diag, dp_diag: (R,) same-channel total and (R, 16) its partials, or
-    None when not requested.
-    """
-
-    p: np.ndarray
-    s: np.ndarray
-    dp: np.ndarray
-    pds: np.ndarray
-    p_diag: np.ndarray | None
-    dp_diag: np.ndarray | None
+def _pairs(upper, lower=None) -> np.ndarray:
+    """(..., 4, 4) matrix holding `upper` at the six pairs (i, j), i < j,
+    `lower` (default `upper`) at (j, i) and zeros on the diagonal."""
+    m = np.zeros(np.shape(upper)[:-1] + (4, 4), dtype=complex)
+    m[..., _PI, _PJ] = upper
+    m[..., _PJ, _PI] = upper if lower is None else lower
+    return m
 
 
-def _tangents(theta: np.ndarray, diag: bool = False) -> _Tangents:
-    """Forward-mode derivatives of p, S (and the same-channel total) at theta.
+def _pullback(w, v, u, p, det, a, b, c=0.0) -> np.ndarray:
+    """sum_k a_k dp_k + b_k p_k dS_k + c dp_diag along the 16 parameters, (R, 16),
+    over the six relevant outcomes and the same-channel total p_diag.
 
-    One eigh per restart: `matrices._exp_jvp` gives U and dU_k, and the
-    closed forms are differentiated along each dU_k:
+    w, v, u come from `matrices._exp_eigh` of the restarts' parameters, p and
+    det are their relevant probabilities and determinants; a and b are (R, 6)
+    or scalars, c a scalar.  One vector-Jacobian product: with df that sum,
+    G = df/dRe(U) + i df/dIm(U) is built in closed form,
 
       p_ij = 1/8 - n_i n_j / 2 - |o_ij|^2 / 2,  n_i = 1/2 - |U_1i|^2 - |U_2i|^2,
-          o_ij = U_1i conj(U_1j) + U_2i conj(U_2j);
+          o_ij = U_1i conj(U_1j) + U_2i conj(U_2j), so rows 1, 2 of G are
+          U K with K_ii = sum_j a_ij n_j and K_ij = -a_ij conj(o_ij);
+      sum_i p_ii = 1/2 - sum_i n_i^2 / 2 adds 2 c n_i to K_ii;
       det_ij = |top_ij bot_ij|^2 / (4 p_ij)^2 with top, bot the minors of
-          rows (1, 2) and (3, 4), so p d(det) = d|top bot|^2 / (16 p)
-          - 2 det dp, zero where p = 0;
-      dS = S'(det) d(det) with S' = `entanglement._entropy_slope`;
-      sum_i p_ii = 1/2 - sum_i n_i^2 / 2, so its partial is -sum_i n_i dn_i.
+          rows (1, 2) and (3, 4), so p dS = S'(det) (d|top bot|^2 / (16 p)
+          - 2 det dp), zero where p = 0, with S' = `entanglement._entropy_slope`;
+
+    and pulled back through U = exp(i H), H = V diag(w) V^H, once.  By
+    Daleckii-Krein, dU = V (Phi o V^H E V) V^H along a Hermitian direction E,
+    with Phi_ab = (e^{i w_a} - e^{i w_b}) / (w_a - w_b) evaluated as
+    i e^{i (w_a + w_b) / 2} sinc((w_a - w_b) / 2), which needs no special
+    case for (near-)equal eigenvalues (Najfeld & Havel 1995).  So
+    df = Re tr(G^H dU) = Re tr(Z^H E) with Z = V (conj(Phi) o V^H G V) V^H,
+    and the partials are read off Z (Giles 2008): Re Z_kk for the diagonal
+    parameters, Re(Z_xy + Z_yx) and Im Z_xy - Im Z_yx for the pair (x, y),
+    that is the parameters of Z plus the conjugate transpose of its strict
+    lower triangle.
     """
-    u, du = matrices._exp_jvp(theta)
-    p = fusion.relevant_probabilities(u)
-    det = entanglement._determinants(u, p)
-    s = entanglement.entropy_from_det(det)
-    x = u[:, None]  # broadcasts against the direction axis of du
-    r12, dr12 = x[..., :2, :], du[..., :2, :]
-    n = 0.5 - np.sum(np.abs(r12) ** 2, axis=-2)
-    dn = -2.0 * np.sum((r12.conj() * dr12).real, axis=-2)
-    o = np.sum(r12[..., _PI] * r12[..., _PJ].conj(), axis=-2)
-    do = np.sum(
-        dr12[..., _PI] * r12[..., _PJ].conj() + r12[..., _PI] * dr12[..., _PJ].conj(), axis=-2
-    )
-    dp = -0.5 * (dn[..., _PI] * n[..., _PJ] + n[..., _PI] * dn[..., _PJ]) - (o.conj() * do).real
+    slope = b * entanglement._entropy_slope(det)
+    a = _pairs(a - 2.0 * slope * det)
+    e = np.where(p > 0.0, slope / (8.0 * np.where(p > 0.0, p, 1.0)), 0.0)  # 2 x weight of |top bot|^2
+    r12 = u[..., :2, :]
+    gram = r12.swapaxes(-1, -2) @ r12.conj()  # o_ij off the diagonal, 1/2 - n_i on it
+    n = 0.5 - np.diagonal(gram, axis1=-2, axis2=-1).real
+    g = np.zeros_like(u)
+    g[..., :2, :] = r12 @ (np.eye(4) * ((a + 2.0 * c * np.eye(4)) @ n[..., None]) - a * gram.conj())
+    rows = [u[..., r, :] for r in range(4)]
+    top = entanglement._minors(rows[0], rows[1])
+    bot = entanglement._minors(rows[2], rows[3])
+    for lo, hi, m in ((0, 1, e * np.abs(bot) ** 2 * top), (2, 3, e * np.abs(top) ** 2 * bot)):
+        # d|m_ij|^2 for the minor m_ij = U_li U_hj - U_lj U_hi of rows (lo, hi)
+        g[..., lo : hi + 1, :] += np.stack([-rows[hi].conj(), rows[lo].conj()], axis=-2) @ _pairs(m, -m)
 
-    minors = entanglement._minors
-    rows, drows = [x[..., r, :] for r in range(4)], [du[..., r, :] for r in range(4)]
-    top = minors(rows[0], rows[1])
-    bot = minors(rows[2], rows[3])
-    dtop = minors(drows[0], rows[1]) + minors(rows[0], drows[1])
-    dbot = minors(drows[2], rows[3]) + minors(rows[2], drows[3])
-    dnum = 2.0 * (
-        (top.conj() * dtop).real * np.abs(bot) ** 2
-        + np.abs(top) ** 2 * (bot.conj() * dbot).real
-    )
-    live = (p > 0.0)[:, None]
-    det = det[:, None]
-    p_ddet = np.where(live, dnum / (16.0 * np.where(live, p[:, None], 1.0)) - 2.0 * det * dp, 0.0)
-    pds = entanglement._entropy_slope(det) * p_ddet
-
-    p_diag = dp_diag = None
-    if diag:
-        p_diag = _diag_total(u)
-        dp_diag = -np.sum(n * dn, axis=-1)
-    return _Tangents(p, s, dp, pds, p_diag, dp_diag)
-
-
-def _expectation_grads(t: _Tangents):
-    """(d<S>, dp_total), each (R, 16)."""
-    return np.sum(t.dp * t.s[:, None] + t.pds, axis=-1), np.sum(t.dp, axis=-1)
-
-
-def _threshold_grad(t: _Tangents, s_target: float, tau: float):
-    """Partials (R, 16) of the surrogate sum p sigma((S - s) / tau), plus
-    sigma(-s / tau) times the same-channel total at s <= 0."""
-    sig = _logistic((t.s - s_target) / tau)[:, None]
-    g = np.sum(t.dp * sig + t.pds * (sig * (1.0 - sig) / tau), axis=-1)
-    if s_target <= 0.0:
-        g = g + _logistic(-s_target / tau) * t.dp_diag
-    return g
+    half = 0.5 * (w[..., :, None] - w[..., None, :])
+    phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(half / np.pi)
+    vh = v.conj().swapaxes(-1, -2)
+    z = v @ (phi.conj() * (vh @ g @ v)) @ vh
+    return matrices._params_from_hermitian(z + np.tril(z, -1).conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +339,10 @@ def _init_pool(rng, cfg: OptimizerConfig, warm_start) -> np.ndarray:
 
 
 def _evaluate(objective, u: np.ndarray):
-    """(value, gap, p_total) of a matrix batch under `objective`."""
-    p, s = _p_and_s(u)
-    p_diag = _diag_total(u) if objective._diag else None
-    value, gap = objective._score(p, s, p_diag)
-    return value, gap, np.sum(p, axis=-1)
+    """(value, gap, p, det, s) of a matrix batch under `objective`."""
+    p, det, s = _outcomes(u)
+    value, gap = objective._score(p, s, _diag_total(u) if objective._diag else None)
+    return value, gap, p, det, s
 
 
 def _rank(value, gap, feasible) -> int:
@@ -370,7 +357,7 @@ def _descend(objective, cfg: OptimizerConfig, warm_start=None) -> OptResult:
     rng = np.random.default_rng(cfg.master_seed)
     R = cfg.restarts
     cand = _init_pool(rng, cfg, warm_start)
-    value0, gap0, _ = _evaluate(objective, matrices.from_params(cand.reshape(-1, 16)))
+    value0, gap0, *_ = _evaluate(objective, matrices.from_params(cand.reshape(-1, 16)))
     score0 = (value0 - L1_BETA * np.abs(gap0)).reshape(R, -1)
     theta = cand[np.arange(R), np.argmax(score0, axis=1)]
     vel = np.zeros_like(theta)
@@ -397,11 +384,12 @@ def _descend(objective, cfg: OptimizerConfig, warm_start=None) -> OptResult:
             k += 1
             if phases[k].reset:
                 vel[:] = 0.0
-        t = _tangents(theta, diag=objective._diag)
-        value, gap = objective._score(t.p, t.s, t.p_diag)
+        w, v, u = matrices._exp_eigh(theta)
+        value, gap, p, det, s = _evaluate(objective, u)
         trace[it] = value
         track(theta, value, gap)
-        vel = MOMENTUM * vel - cfg.step * phases[k].grad(t, gap)
+        grad = _pullback(w, v, u, p, det, *phases[k].weights(s, gap))
+        vel = MOMENTUM * vel - cfg.step * grad
         theta = theta + vel
     if isinstance(objective, ThresholdProbability):
         # threshold descent also scores the post-step endpoints
@@ -409,15 +397,15 @@ def _descend(objective, cfg: OptimizerConfig, warm_start=None) -> OptResult:
 
     have = best_value > -np.inf
     finals = np.where(have[:, None], best_theta, best_gap_theta)
-    value_f, gap_f, p_f = _evaluate(objective, matrices.from_params(finals))
+    value_f, gap_f, p_f, *_ = _evaluate(objective, matrices.from_params(finals))
     names = matrices.BUILTIN_NAMES
     mats = np.stack([matrices.builtin(nm) for nm in names])
-    value_b, gap_b, p_b = _evaluate(objective, mats)
+    value_b, gap_b, p_b, *_ = _evaluate(objective, mats)
     feas_b = np.abs(gap_b) <= FEASIBLE_BAND
 
     values = np.concatenate([value_b, value_f])
     feasible = np.concatenate([feas_b, have])
-    p_all = np.concatenate([p_b, p_f])
+    p_all = np.sum(np.concatenate([p_b, p_f]), axis=-1)
     pick = _rank(values, np.concatenate([gap_b, gap_f]), feasible)
     # prefer an exact builtin over a descent point ahead by only float noise
     if pick >= len(names) and feas_b.any():
@@ -461,10 +449,9 @@ def optimize(objective, config: OptimizerConfig | None = None, warm_start=None) 
     parameter vectors (k, 16) to every restart's scored candidate pool.
     """
     cfg = config if config is not None else OptimizerConfig()
-    warm = None if warm_start is None else np.asarray(warm_start, float)
     if not isinstance(objective, (ExpectationEntropy, ThresholdProbability)):
         raise TypeError(f"unknown objective {objective!r}")
-    return _descend(objective, cfg, warm)
+    return _descend(objective, cfg, warm_start)
 
 
 def sweep(
@@ -539,14 +526,16 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
     if mode == "threshold":
         if s_targets is None:
             s_targets = [k / 10 for k in range(11)]
+        # the objective's own check rejects NaN and targets outside [0, 1]
+        s_targets = [ThresholdProbability(float(s)).s_target_bits for s in s_targets]
         rows = []
         summary = {"n": n, "targets": {}}
-        p_rel, s_rel = _p_and_s(u)
-        p_diag = _diag_total(u) if any(float(s) <= 0.0 for s in s_targets) else None
+        p_rel, _, s_rel = _outcomes(u)
+        p_diag = _diag_total(u) if any(s <= 0.0 for s in s_targets) else None
         for s in s_targets:
-            P = _hard_threshold(p_rel, s_rel, float(s), p_diag)
-            rows.extend((float(s), float(v)) for v in P)
-            summary["targets"][float(s)] = {
+            P = _hard_threshold(p_rel, s_rel, s, p_diag)
+            rows.extend((s, float(v)) for v in P)
+            summary["targets"][s] = {
                 "P_mean": float(np.mean(P)),
                 "P_std": float(np.std(P)),
                 "P_max": float(np.max(P)),

@@ -657,9 +657,10 @@ def compare_scenario(scenario: FusionScenario, matrix, tol: float = DEFAULT_TOL)
     overall pass flags.
     """
     from . import entanglement
-    from .classify import classify
+    from .classify import _check_tol, classify
     from .fusion import outcome_table
 
+    _check_tol(tol)
     u = validate_unitary(matrix)
     table = outcome_table(u)
     rows = []

@@ -247,6 +247,16 @@ def test_unnormalized_quadruple_rejected(check):
     check(np.array([0.0, INV_SQRT2, INV_SQRT2, 0.0]) * (1.0 + 0.5 * matrices.UNITARY_TOL))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+@pytest.mark.parametrize(
+    "check", [classify, is_product, is_stabilizer, is_weighted_graph,
+              is_cluster_up_to_rotation, max_entangled_params],
+)
+def test_bad_tol_rejected(check, tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        check(np.array([0.0, INV_SQRT2, INV_SQRT2, 0.0]), tol=tol)
+
+
 def _perturbed(rng, c, tol):
     """`c` moved by 0.2 to 5 tol in a random direction.
 

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ right
 0 1
 fuse 0 0
 """
+
+
+CHAIN_PAIR = str(Path(__file__).resolve().parents[1] / "demos" / "chain_pair.scenario")
+BAD_TOLS = ["nan", "inf", "-1"]
 
 
 @pytest.fixture
@@ -107,6 +112,14 @@ def test_library_errors_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(fusion, "outcome_table", broken)
     assert main(["analyze", "--matrix", "pbs2"]) == 2
     assert "error: probability -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_analyze_rejects_bad_tol(tol, capsys):
+    """A NaN tol once dropped the Stabilizer label silently, and -1 labelled
+    the live pbs2 outcomes Generic."""
+    assert main(["analyze", "--matrix", "pbs2", "--tol", tol]) == 2
+    assert "tol must be finite" in capsys.readouterr().err
 
 
 def test_analyze_rejects_missing_file(capsys):
@@ -254,6 +267,16 @@ def test_oracle_pass(scenario_file, tmp_path, capsys):
     assert report["pass"] is True
     assert report["arity"] == 1
     assert len(report["outcomes"]) == 6
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_oracle_rejects_bad_tol(tol, capsys):
+    """NaN and -1 once reported "verification failed" (exit 1) on a scenario
+    that passes at the default tol."""
+    assert main(["oracle", CHAIN_PAIR, "--matrix", "pbs2"]) == 0
+    capsys.readouterr()
+    assert main(["oracle", CHAIN_PAIR, "--matrix", "pbs2", "--tol", tol]) == 2
+    assert "tol must be finite" in capsys.readouterr().err
 
 
 def test_oracle_stdout(scenario_file, capsys):

@@ -56,17 +56,20 @@ def test_objective_validation():
         ExpectationEntropy(p_target=0.4)
     with pytest.raises(ValueError):
         ExpectationEntropy(p_target=1.2)
-    with pytest.raises(ValueError):
-        ThresholdProbability(s_target_bits=-0.1)
-    with pytest.raises(ValueError):
-        ThresholdProbability(s_target_bits=1.5)
+    for alpha in (np.nan, np.inf, -3.0):
+        with pytest.raises(ValueError):
+            ExpectationEntropy(p_target=0.7, alpha=alpha)
+    for s_target in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            ThresholdProbability(s_target_bits=s_target)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(step=0.0)
+    for step in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            OptimizerConfig(step=step)
 
 
 def test_optimize_rejects_unknown_objective():
@@ -249,6 +252,9 @@ def test_random_scatter_validation():
         random_scatter(0, seed=1)
     with pytest.raises(ValueError):
         random_scatter(4, seed=1, mode="scan")
+    for s_target in (np.nan, 2.0, -1.0):
+        with pytest.raises(ValueError):
+            random_scatter(4, seed=1, mode="threshold", s_targets=[0.5, s_target])
 
 
 def test_random_scatter_matches_direct_evaluation():
@@ -308,7 +314,7 @@ def _gradient_points(group):
 
 def _smooth_threshold(theta, s_target, tau):
     u = matrices.from_params(theta)
-    p, s = opt._p_and_s(u)
+    p, _, s = opt._outcomes(u)
     out = np.sum(p * opt._logistic((s - s_target) / tau), axis=-1)
     if s_target <= 0.0:
         out = out + opt._logistic(-s_target / tau) * np.sum(fusion.diag_probabilities(u), axis=-1)
@@ -321,10 +327,18 @@ def _assert_covered(masks, group):
     assert share >= (0.9 if group == "random" else 0.25), share
 
 
+def _grad_at(theta, weights):
+    """The engine's pull-back at theta with weights(s) -> (a, b[, c])."""
+    w, v, u = matrices._exp_eigh(theta)
+    p, det, s = opt._outcomes(u)
+    return opt._pullback(w, v, u, p, det, *weights(s))
+
+
 @pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
 def test_expectation_gradient_matches_finite_differences(group):
     theta = _gradient_points(group)
-    g_S, g_p = opt._expectation_grads(opt._tangents(theta))
+    g_S = _grad_at(theta, lambda s: (s, 1.0))
+    g_p = _grad_at(theta, lambda s: (np.ones_like(s), 0.0))
     masks = [
         _assert_matches_fd(g_S, lambda x: opt._S_exp_p_total(matrices.from_params(x))[0], theta),
         _assert_matches_fd(g_p, lambda x: opt._S_exp_p_total(matrices.from_params(x))[1], theta),
@@ -335,11 +349,12 @@ def test_expectation_gradient_matches_finite_differences(group):
 @pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
 @pytest.mark.parametrize("s_target", [0.0, 0.5, 1.0])
 def test_threshold_gradient_matches_finite_differences(group, s_target):
+    """The surrogate phases' weights pull back to minus the surrogate's gradient."""
     theta = _gradient_points(group)
-    t = opt._tangents(theta, diag=s_target <= 0.0)
+    obj = ThresholdProbability(s_target_bits=s_target)
     masks = [
         _assert_matches_fd(
-            opt._threshold_grad(t, s_target, tau),
+            -_grad_at(theta, lambda s: obj._surrogate(tau, s, None)),
             lambda x: _smooth_threshold(x, s_target, tau),
             theta,
         )
@@ -351,36 +366,61 @@ def test_threshold_gradient_matches_finite_differences(group, s_target):
 @pytest.mark.parametrize("name", sorted(NEAR_BUILTIN))
 def test_outcome_derivatives_near_builtins(name):
     """Per-outcome dp and dS next to pbs2 (det -> 1/4 on its four live
-    outcomes) and blockpair (det -> 0 with p_total -> 1)."""
+    outcomes) and blockpair (det -> 0 with p_total -> 1), each from one-hot
+    weights: a = e_j gives dp_j, b = e_j gives p_j dS_j."""
     theta = _gradient_points(name)
-    t = opt._tangents(theta)
-    live = t.p > 0.1  # the outcomes that fire at the builtin itself
+    p = opt._outcomes(matrices.from_params(theta))[0]
+    live = p > 0.1  # the outcomes that fire at the builtin itself
     masks = []
     for j in range(6):
+        e_j = np.eye(6)[j]
+
         def p_j(x):
-            return opt._p_and_s(matrices.from_params(x))[0][..., j]
+            return opt._outcomes(matrices.from_params(x))[0][..., j]
 
         def s_j(x):
-            return opt._p_and_s(matrices.from_params(x))[1][..., j]
+            return opt._outcomes(matrices.from_params(x))[2][..., j]
 
-        ok_p = _assert_matches_fd(t.dp[..., j], p_j, theta)
-        ok_s = _assert_matches_fd(t.pds[..., j] / t.p[:, None, j], s_j, theta)
+        ok_p = _assert_matches_fd(_grad_at(theta, lambda s: (e_j, 0.0)), p_j, theta)
+        pds_j = _grad_at(theta, lambda s: (0.0, e_j))
+        ok_s = _assert_matches_fd(pds_j / p[:, None, j], s_j, theta)
         masks += [ok_p[live[:, j]], ok_s[live[:, j]]]
     assert np.mean(np.concatenate(masks)) >= 0.75
 
 
 def test_gradients_finite_at_builtins():
     """Exact builtins sit on p = 0 outcomes, det in {0, 1/4} and repeated
-    generator eigenvalues (identity: H = 0); every gradient stays finite."""
+    generator eigenvalues (identity: H = 0); every phase's gradient of both
+    objectives stays finite."""
     theta = np.stack([matrices.params_from_matrix(matrices.builtin(nm)) for nm in matrices.BUILTIN_NAMES])
-    t = opt._tangents(theta, diag=True)
-    assert set(t.p[matrices.BUILTIN_NAMES.index("identity")]) == {0.0, 0.25}
-    grads = list(opt._expectation_grads(t))
-    for s_target in (0.0, 0.5, 1.0):
-        grads += [opt._threshold_grad(t, s_target, tau) for tau in ANNEAL_SCHEDULE]
-    for g in grads:
-        assert g.shape == (len(theta), 16)
-        assert np.all(np.isfinite(g))
+    w, v, u = matrices._exp_eigh(theta)
+    objectives = [ExpectationEntropy(p_target=0.75)]
+    objectives += [ThresholdProbability(s_target_bits=s) for s in (0.0, 0.5, 1.0)]
+    for obj in objectives:
+        _, gap, p, det, s = opt._evaluate(obj, u)
+        assert set(p[matrices.BUILTIN_NAMES.index("identity")]) == {0.0, 0.25}
+        for phase in obj._phases(30):
+            g = opt._pullback(w, v, u, p, det, *phase.weights(s, gap))
+            assert g.shape == (len(theta), 16)
+            assert np.all(np.isfinite(g))
+
+
+def test_pullback_batched_matches_single():
+    """A 7-row pull-back equals seven 1-row calls; the rows include builtins
+    with zero-probability outcomes and repeated generator eigenvalues."""
+    rng = np.random.default_rng(11)
+    builtins = [matrices.params_from_matrix(matrices.builtin(nm)) for nm in ("identity", "pbs2")]
+    theta = np.concatenate([matrices.random_params(rng, size=5), np.stack(builtins)])
+    a, b = rng.normal(size=(2, 7, 6))
+
+    def grad(rows):
+        w, v, u = matrices._exp_eigh(theta[rows])
+        p, det, _ = opt._outcomes(u)
+        return opt._pullback(w, v, u, p, det, a[rows], b[rows], 0.3)
+
+    batched = grad(slice(None))
+    single = np.concatenate([grad(slice(k, k + 1)) for k in range(7)])
+    assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(batched))
 
 
 def test_entropy_slope():
