@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .classify import _check_tol
 from .fusion import Outcome, relevant_probabilities, channel_invariants, _PI, _PJ
 from .matrices import FusionlabError, validate_unitary
 
@@ -229,10 +230,11 @@ def is_maximally_entangled(matrix, i: int, j: int, tol: float = 1e-8) -> bool:
     Decided through the channel-invariant conditions n_i t_j + n_j t_i = 0
     and n_i k_j + n_j k_i = 0 (both within `tol`), which avoids the
     amplification of dividing by small probabilities.  The outcome must have
-    probability > tol.
+    probability > tol, and `tol` must be finite and >= 0.
     """
     from .fusion import RELEVANT_PAIRS
 
+    _check_tol(tol)
     if (i, j) not in RELEVANT_PAIRS:
         raise ValueError(f"({i}, {j}) is not a relevant channel pair")
     u = validate_unitary(matrix)

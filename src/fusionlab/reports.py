@@ -108,6 +108,7 @@ def sweep_expectation_csv(path, rows, nats: bool = False) -> None:
         "seed",
         "iterations",
         "units",
+        "p_total",
     ]
     write_csv(
         path,
@@ -121,6 +122,7 @@ def sweep_expectation_csv(path, rows, nats: bool = False) -> None:
                 r["seed"],
                 r["iterations"],
                 unit,
+                r["p_total"],
             )
             for r in rows
         ),
@@ -137,6 +139,7 @@ def sweep_threshold_csv(path, rows) -> None:
         "seed",
         "iterations",
         "units",
+        "p_total",
     ]
     write_csv(
         path,
@@ -150,6 +153,7 @@ def sweep_threshold_csv(path, rows) -> None:
                 r["seed"],
                 r["iterations"],
                 "bits",
+                r["p_total"],
             )
             for r in rows
         ),

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusionlab import fusion, matrices
+from fusionlab import fusion, matrices, optimize, reports
 from fusionlab.cli import main
 
 
@@ -178,6 +178,9 @@ def test_optimize_tiny_threshold_run(tmp_path, capsys):
     assert [r["s_target_bits"] for r in rows] == ["1", "0"]
     assert float(rows[1]["P_max"]) == 1.0
     assert float(rows[0]["P_max"]) == 0.5
+    cfg = optimize.OptimizerConfig(restarts=2, iterations=20)
+    swept = optimize.sweep("threshold", [1.0, 0.0], cfg)
+    assert [r["p_total"] for r in rows] == [reports.fmt(r["p_total"]) for r in swept]
     best = json.loads((tmp_path / "best_threshold_s1.json").read_text())
     assert best["objective"] == "threshold"
     assert best["target"] == 1.0
@@ -203,8 +206,12 @@ def test_optimize_tiny_expectation_run(tmp_path):
         "seed",
         "iterations",
         "units",
+        "p_total",
     }
     assert float(rows[0]["S_exp_max"]) == pytest.approx(0.5, abs=1e-9)
+    cfg = optimize.OptimizerConfig(restarts=2, iterations=20)
+    (swept,) = optimize.sweep("expectation", [0.5], cfg)
+    assert rows[0]["p_total"] == reports.fmt(swept["p_total"])
     assert (tmp_path / "best_expectation_p0.5.json").exists()
 
 

@@ -122,6 +122,12 @@ def test_maxent_conditions_pbs2():
         assert entanglement.is_maximally_entangled(matrices.builtin("pbs2"), i, j)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_maxent_bad_tol_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        entanglement.is_maximally_entangled(matrices.builtin("pbs2"), 1, 3, tol=tol)
+
+
 def test_maxent_generic_matrix_is_not():
     # U5's outcomes all sit strictly below det = 1/4
     for idx, (i, j) in enumerate(fusion.RELEVANT_PAIRS):
