@@ -39,6 +39,7 @@ through matrices with determinant 1/4 - O(1e-10) whose entropy rounds below
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -534,15 +535,29 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
 
     Returns (rows, summary): expectation rows are (p_total, S_exp); threshold
     rows are (s_target, P) for every sample and target.  The summary carries
-    means and standard deviations for plotting reference bands.
+    means and standard deviations for plotting reference bands.  `s_targets`
+    (default 0, 0.1, ..., 1) is for threshold mode only.  The samples are
+    scored in blocks of `matrices._BLOCK`, so the kernels' temporaries stay
+    in cache.
     """
+    n = matrices._count(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = matrices.haar_sample(rng, size=n)
     if mode == "expectation":
-        s_exp, p_tot = _S_exp_p_total(u)
-        rows = [(float(p), float(s)) for p, s in zip(p_tot, s_exp)]
+        if s_targets is not None:
+            raise ValueError("s_targets is a threshold-mode argument")
+    elif mode == "threshold":
+        if s_targets is None:
+            s_targets = [k / 10 for k in range(11)]
+        # the objective's own check rejects NaN and targets outside [0, 1]
+        s_targets = [ThresholdProbability(float(s)).s_target_bits for s in s_targets]
+    else:
+        raise ValueError(f"mode must be expectation or threshold, got {mode!r}")
+    u = matrices.haar_sample(np.random.default_rng(seed), size=n)
+    blocks = [u[k : k + matrices._BLOCK] for k in range(0, n, matrices._BLOCK)]
+    if mode == "expectation":
+        s_exp, p_tot = np.concatenate([_S_exp_p_total(ub) for ub in blocks], axis=-1)
+        rows = list(zip(p_tot.tolist(), s_exp.tolist()))
         summary = {
             "n": n,
             "S_exp_mean": float(np.mean(s_exp)),
@@ -551,22 +566,18 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
             "p_total_std": float(np.std(p_tot)),
         }
         return rows, summary
-    if mode == "threshold":
-        if s_targets is None:
-            s_targets = [k / 10 for k in range(11)]
-        # the objective's own check rejects NaN and targets outside [0, 1]
-        s_targets = [ThresholdProbability(float(s)).s_target_bits for s in s_targets]
-        rows = []
-        summary = {"n": n, "targets": {}}
-        p_rel, _, s_rel = _outcomes(u)
-        p_diag = _diag_total(u) if any(s <= 0.0 for s in s_targets) else None
-        for s in s_targets:
-            P = _hard_threshold(p_rel, s_rel, s, p_diag)
-            rows.extend((s, float(v)) for v in P)
-            summary["targets"][s] = {
-                "P_mean": float(np.mean(P)),
-                "P_std": float(np.std(P)),
-                "P_max": float(np.max(P)),
-            }
-        return rows, summary
-    raise ValueError(f"mode must be expectation or threshold, got {mode!r}")
+    targets = np.array(s_targets)[:, None]
+    P = np.concatenate(
+        [ThresholdProbability._score(ub, *_outcomes(ub)[::2], targets)[0] for ub in blocks],
+        axis=-1,
+    )
+    rows = []
+    summary = {"n": n, "targets": {}}
+    for s, P_s in zip(s_targets, P):
+        rows.extend(zip(itertools.repeat(s), P_s.tolist()))
+        summary["targets"][s] = {
+            "P_mean": float(np.mean(P_s)),
+            "P_std": float(np.std(P_s)),
+            "P_max": float(np.max(P_s)),
+        }
+    return rows, summary

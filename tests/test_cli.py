@@ -164,6 +164,14 @@ def test_sample_rejects_bad_n(capsys):
     assert exc.value.code == 2
 
 
+def test_sample_rejects_s_target_in_expectation_mode(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["sample", "--n", "5", "--s-target", "0.5", "--out", str(out)])
+    assert code == 2
+    assert "threshold-mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # optimize
 

@@ -75,6 +75,78 @@ def test_haar_moment():
     assert np.abs(mean - 0.25).max() < 0.006
 
 
+def _householder_q(z):
+    """Reference: numpy's Householder QR with R's diagonal made real and positive."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_haar_qr_matches_householder(m):
+    rng = np.random.default_rng(m)
+    re, im = rng.standard_normal((2, 3000, m, m))
+    q = matrices._haar_qr(re, im)
+    assert q.shape == (3000, m, m)
+    assert np.abs(q - _householder_q(re + 1j * im)).max() <= 1e-10
+    assert np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(m)).max() <= 1e-14
+
+
+B = matrices._BLOCK
+
+
+@pytest.mark.parametrize("size", [None, 0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_haar_sample_blocks_match_householder(size):
+    u = matrices.haar_sample(np.random.default_rng(21), size=size)
+    shape = () if size is None else (size,)
+    assert u.shape == shape + (4, 4)
+    # the same stream as two draws: every real part, then every imaginary part
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal(shape + (4, 4)) + 1j * rng.standard_normal(shape + (4, 4))
+    if size != 0:
+        assert np.abs(u - _householder_q(z)).max() <= 1e-10
+        assert np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max() <= 1e-14
+
+
+def test_haar_qr_rejects_rank_deficient_input():
+    re, im = np.random.default_rng(4).standard_normal((2, 5, 4, 4))
+    re[3, :, 2], im[3, :, 2] = re[3, :, 0], im[3, :, 0]  # one matrix with two equal columns
+    with pytest.raises(matrices.DegenerateSampleError):
+        matrices._haar_qr(re, im)
+
+
+@pytest.mark.parametrize("fails", [2, 5])
+def test_haar_sample_redraws_degenerate_samples(monkeypatch, fails):
+    """Five draws in all: a degenerate draw is replaced by a fresh one."""
+    real_qr = matrices._haar_qr
+    draws = []
+
+    def degenerate_first(re, im):
+        draws.append(re.copy())
+        if len(draws) <= fails:
+            raise matrices.DegenerateSampleError("forced")
+        return real_qr(re, im)
+
+    monkeypatch.setattr(matrices, "_haar_qr", degenerate_first)
+    if fails >= 5:
+        with pytest.raises(matrices.DegenerateSampleError):
+            matrices.haar_sample(np.random.default_rng(1), size=3)
+        assert len(draws) == 5
+    else:
+        u = matrices.haar_sample(np.random.default_rng(1), size=3)
+        assert len(draws) == fails + 1 and not np.array_equal(draws[0], draws[-1])
+        assert np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("size", [2.7, 2.0, -1, True, "3"])
+def test_sample_counts_must_be_non_negative_integers(size):
+    with pytest.raises(matrices.MalformedInputError):
+        matrices.haar_sample(np.random.default_rng(0), size=size)
+    for shape in (size, (2, size)):
+        with pytest.raises(matrices.MalformedInputError):
+            matrices.random_params(np.random.default_rng(0), size=shape)
+
+
 def test_from_params_unitary_and_batch():
     rng = np.random.default_rng(3)
     theta = matrices.random_params(rng, size=(5, 7))

@@ -304,14 +304,44 @@ def test_random_scatter_threshold():
     assert stats[0.8]["P_mean"] <= stats[0.2]["P_mean"] + 1e-12
 
 
-def test_random_scatter_validation():
-    with pytest.raises(ValueError):
-        random_scatter(0, seed=1)
+def test_random_scatter_validation(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating the arguments")
+
+    # every argument is checked before any matrix is drawn
+    monkeypatch.setattr(opt.matrices, "haar_sample", no_sampling)
+    for n in (0, -1, 2.5, True, "4"):
+        with pytest.raises(ValueError):
+            random_scatter(n, seed=1)
     with pytest.raises(ValueError):
         random_scatter(4, seed=1, mode="scan")
     for s_target in (np.nan, 2.0, -1.0):
         with pytest.raises(ValueError):
             random_scatter(4, seed=1, mode="threshold", s_targets=[0.5, s_target])
+    with pytest.raises(ValueError, match="threshold-mode"):
+        random_scatter(4, seed=1, mode="expectation", s_targets=[0.5])
+
+
+@pytest.mark.parametrize("mode", ["expectation", "threshold"])
+def test_random_scatter_blocks_match_whole_batch(mode):
+    """Scoring block by block agrees with scoring the whole batch at once."""
+    n, seed, targets = 2 * matrices._BLOCK + 452, 13, [0.0, 0.5, 1.0]
+    assert n % matrices._BLOCK
+    u = matrices.haar_sample(np.random.default_rng(seed), size=n)
+    if mode == "expectation":
+        rows, summary = random_scatter(n, seed)
+        got = np.array(rows)
+        want = np.stack([fusion.total_relevant_probability(u), expectation_entropy(u)], axis=-1)
+        assert summary["n"] == n and summary["S_exp_mean"] == pytest.approx(np.mean(want[:, 1]), abs=1e-14)
+    else:
+        rows, summary = random_scatter(n, seed, mode="threshold", s_targets=targets)
+        got = np.array(rows).reshape(len(targets), n, 2)
+        want = np.stack(
+            [np.stack([np.full(n, t), threshold_probability(u, t)], axis=-1) for t in targets]
+        )
+        assert list(summary["targets"]) == targets
+    assert all(type(x) is float for x in rows[0]) and len(rows) == want.size // 2
+    assert np.abs(got - want).max() <= 1e-14
 
 
 def test_random_scatter_matches_direct_evaluation():
