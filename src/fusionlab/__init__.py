@@ -33,15 +33,12 @@ from .fusion import (
     RELEVANT_PAIRS,
     channel_invariants,
     diag_probabilities,
-    outcome_coefficients,
-    outcome_probability,
     outcome_table,
     relevant_probabilities,
     total_relevant_probability,
 )
 from .entanglement import (
     determinant,
-    determinant_from_matrix,
     determinants_from_matrix,
     entropies_from_matrix,
     entropy,

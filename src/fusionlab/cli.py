@@ -149,12 +149,8 @@ def _cmd_optimize(args) -> int:
     rows = optimize.sweep(args.mode, targets, cfg, alpha=args.alpha)
 
     os.makedirs(args.out, exist_ok=True)
-    if args.mode == "expectation":
-        csv_path = os.path.join(args.out, "sweep_expectation.csv")
-        reports.sweep_expectation_csv(csv_path, rows, nats=args.nats)
-    else:
-        csv_path = os.path.join(args.out, "sweep_threshold.csv")
-        reports.sweep_threshold_csv(csv_path, rows)
+    csv_path = os.path.join(args.out, f"sweep_{args.mode}.csv")
+    reports.sweep_csv(csv_path, rows, args.mode, nats=args.nats)
 
     prefix = "p" if args.mode == "expectation" else "s"
     for row in rows:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import _check_tol
-from .fusion import Outcome, relevant_probabilities, channel_invariants, _PI, _PJ
+from .fusion import RELEVANT_PAIRS, Outcome, relevant_probabilities, channel_invariants, _PI, _PJ
 from .matrices import FusionlabError, validate_unitary
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "DET_MAX",
     "reduced_density",
     "determinant",
-    "determinant_from_matrix",
     "determinants_from_matrix",
     "eigenvalues_from_det",
     "entropy",
@@ -117,16 +116,6 @@ def determinants_from_matrix(matrix) -> np.ndarray:
     """
     u = np.asarray(matrix, dtype=complex)
     return _determinants(u, relevant_probabilities(u))
-
-
-def determinant_from_matrix(matrix, i: int, j: int) -> float:
-    """Factored-form determinant of a single relevant outcome (1-based, i < j)."""
-    from .fusion import RELEVANT_PAIRS
-
-    if (i, j) not in RELEVANT_PAIRS:
-        raise ValueError(f"({i}, {j}) is not a relevant channel pair")
-    u = validate_unitary(matrix)
-    return float(determinants_from_matrix(u)[RELEVANT_PAIRS.index((i, j))])
 
 
 def eigenvalues_from_det(det):
@@ -232,8 +221,6 @@ def is_maximally_entangled(matrix, i: int, j: int, tol: float = 1e-8) -> bool:
     amplification of dividing by small probabilities.  The outcome must have
     probability > tol, and `tol` must be finite and >= 0.
     """
-    from .fusion import RELEVANT_PAIRS
-
     _check_tol(tol)
     if (i, j) not in RELEVANT_PAIRS:
         raise ValueError(f"({i}, {j}) is not a relevant channel pair")

@@ -26,8 +26,10 @@ from the per-channel invariants
 as  p_ij = 1/8 - n_i n_j / 2 - |U_1i conj(U_1j) + U_2i conj(U_2j)|^2 / 2
 and p_ii = m_i (1 - m_i) / 2.  Channel indices in the public API are 1-based.
 
-Most functions accept stacked matrices of shape (..., 4, 4) and return
-correspondingly batched arrays; the assembled `OutcomeTable` is single-matrix.
+The kernels accept stacked matrices of shape (..., 4, 4) and return
+correspondingly batched arrays.  One matrix's outcomes, with their
+normalized coefficients, come from `outcome_table`; `OutcomeTable.get(i, j)`
+picks one.
 """
 from __future__ import annotations
 
@@ -47,8 +49,6 @@ __all__ = [
     "Outcome",
     "OutcomeTable",
     "channel_invariants",
-    "outcome_coefficients",
-    "outcome_probability",
     "outcome_table",
     "diag_probabilities",
     "relevant_probabilities",
@@ -175,7 +175,7 @@ def raw_coefficient_blocks(matrix):
 
 
 # --------------------------------------------------------------------------- #
-# single-outcome API and the assembled table
+# outcomes and the assembled table
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
@@ -217,11 +217,6 @@ class Outcome:
         }
 
 
-def _validate_pair(i: int, j: int) -> None:
-    if i not in CHANNELS or j not in CHANNELS or i > j:
-        raise ValueError(f"need channel indices 1 <= i <= j <= 4, got ({i}, {j})")
-
-
 def _build_outcome(i, j, raw, probability) -> Outcome:
     raw = np.asarray(raw, dtype=complex)
     norm = float(np.linalg.norm(raw))
@@ -246,31 +241,6 @@ def _build_outcome(i, j, raw, probability) -> Outcome:
     )
 
 
-def outcome_probability(matrix, i: int, j: int) -> float:
-    """Probability of detecting the photon pair in channels (i, j), 1-based."""
-    _validate_pair(i, j)
-    u = validate_unitary(matrix)
-    if i == j:
-        return float(diag_probabilities(u)[i - 1])
-    pos = RELEVANT_PAIRS.index((i, j))
-    return float(relevant_probabilities(u)[pos])
-
-
-def outcome_coefficients(matrix, i: int, j: int) -> Outcome:
-    """Conditional-state coefficients for outcome (i, j), 1-based, i <= j."""
-    _validate_pair(i, j)
-    u = validate_unitary(matrix)
-    diag, rel = raw_coefficient_blocks(u)
-    if i == j:
-        raw = diag[i - 1]
-        p = float(diag_probabilities(u)[i - 1])
-    else:
-        pos = RELEVANT_PAIRS.index((i, j))
-        raw = rel[pos]
-        p = float(relevant_probabilities(u)[pos])
-    return _build_outcome(i, j, raw, p)
-
-
 @dataclass(frozen=True)
 class OutcomeTable:
     """All 10 outcomes of a fusion matrix in the fixed OUTCOME_ORDER."""
@@ -284,6 +254,9 @@ class OutcomeTable:
         return len(self.outcomes)
 
     def get(self, i: int, j: int) -> Outcome:
+        """Outcome (i, j), 1-based channels, i <= j."""
+        if (i, j) not in OUTCOME_ORDER:
+            raise ValueError(f"need channel indices 1 <= i <= j <= 4, got ({i}, {j})")
         return self.outcomes[OUTCOME_ORDER.index((i, j))]
 
     @property

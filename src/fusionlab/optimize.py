@@ -142,9 +142,15 @@ class ThresholdProbability:
 
     @staticmethod
     def _score(u, p, s, target):
-        """Hard P(s) per row; every point is on target, so the gap is 0."""
-        p_diag = _diag_total(u) if np.any(target <= 0.0) else None
-        value = _hard_threshold(p, s, target, p_diag)
+        """Hard P(s) per row at a target or per-row target array; the
+        same-channel total (S = 0) counts only where target <= 0.  Every
+        point is on target, so the gap is 0."""
+        target = np.asarray(target)
+        value = np.sum(np.where(s >= target[..., None], p, 0.0), axis=-1)
+        if np.any(target <= 0.0):
+            p_diag = np.sum(fusion.diag_probabilities(u), axis=-1)
+            value = value + np.where(target <= 0.0, p_diag, 0.0)
+        value = np.clip(value, 0.0, 1.0)
         return value, np.zeros_like(value)
 
     def _phases(self, iterations: int):
@@ -217,31 +223,10 @@ def _outcomes(u: np.ndarray):
     return p, det, entanglement.entropy_from_det(det)
 
 
-def _diag_total(u: np.ndarray) -> np.ndarray:
-    return np.sum(fusion.diag_probabilities(u), axis=-1)
-
-
-def _hard_threshold(p_rel, s, s_target, p_diag=None):
-    """P(s) from the relevant outcomes' p and S at a target or per-row target
-    array; the same-channel total `p_diag` (S = 0) counts only where
-    s_target <= 0, and must be given if any target is."""
-    s_target = np.asarray(s_target)
-    total = np.sum(np.where(s >= s_target[..., None], p_rel, 0.0), axis=-1)
-    if p_diag is not None:
-        total = total + np.where(s_target <= 0.0, p_diag, 0.0)
-    return np.clip(total, 0.0, 1.0)
-
-
-def _S_exp_p_total(u: np.ndarray):
-    """(<S>, p_total) of a matrix batch."""
-    p, _, s = _outcomes(u)
-    return np.sum(p * s, axis=-1), np.sum(p, axis=-1)
-
-
 def expectation_entropy(matrix):
     """<S> in bits: probability-weighted entropy over the six relevant outcomes."""
     u = np.asarray(matrix, dtype=complex)
-    out, _ = _S_exp_p_total(u)
+    out = _evaluate(ExpectationEntropy, u, 0.0)[0]
     return float(out) if u.ndim == 2 else out
 
 
@@ -254,8 +239,7 @@ def threshold_probability(matrix, s_target_bits: float):
     # the objective's own check rejects NaN and targets outside [0, 1]
     s_target = ThresholdProbability(float(s_target_bits)).s_target_bits
     u = np.asarray(matrix, dtype=complex)
-    p_rel, _, s = _outcomes(u)
-    total = ThresholdProbability._score(u, p_rel, s, s_target)[0]
+    total = _evaluate(ThresholdProbability, u, s_target)[0]
     return float(total) if u.ndim == 2 else total
 
 
@@ -556,7 +540,10 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
     u = matrices.haar_sample(np.random.default_rng(seed), size=n)
     blocks = [u[k : k + matrices._BLOCK] for k in range(0, n, matrices._BLOCK)]
     if mode == "expectation":
-        s_exp, p_tot = np.concatenate([_S_exp_p_total(ub) for ub in blocks], axis=-1)
+        # scored at target 0, the gap is p_total itself
+        s_exp, p_tot = np.concatenate(
+            [_evaluate(ExpectationEntropy, ub, 0.0)[:2] for ub in blocks], axis=-1
+        )
         rows = list(zip(p_tot.tolist(), s_exp.tolist()))
         summary = {
             "n": n,
@@ -568,8 +555,7 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
         return rows, summary
     targets = np.array(s_targets)[:, None]
     P = np.concatenate(
-        [ThresholdProbability._score(ub, *_outcomes(ub)[::2], targets)[0] for ub in blocks],
-        axis=-1,
+        [_evaluate(ThresholdProbability, ub, targets)[0] for ub in blocks], axis=-1
     )
     rows = []
     summary = {"n": n, "targets": {}}

@@ -36,11 +36,9 @@ __all__ = [
     "GraphSpec",
     "graph",
     "parse_graph_spec",
-    "format_graph_spec",
+    "parse_scenario",
     "build_graph_state",
     "check_stabilizers",
-    "state_overlap",
-    "merge_logical",
     "apply_fusion_projector",
     "bipartite_entropy",
     "expand_logical",
@@ -89,7 +87,8 @@ class GraphSpec:
     """Undirected graph with per-vertex sign flags and at most one phase edge.
 
     `edges` are sorted unordered pairs of 0-based vertices; `k_flags` holds one
-    bit per vertex; `special_edge` is (u, v, chi) for the lone weighted edge.
+    bit per vertex (empty means all 0); `special_edge` is (u, v, chi) for the
+    lone weighted edge, with chi finite.
     """
 
     n: int
@@ -100,14 +99,18 @@ class GraphSpec:
     def __post_init__(self):
         if self.n < 1:
             raise MalformedInputError("graph needs at least one vertex")
-        if len(self.k_flags) != self.n:
-            object.__setattr__(self, "k_flags", tuple(self.k_flags) + (0,) * (self.n - len(self.k_flags)))
+        flags = tuple(self.k_flags) or (0,) * self.n
+        if len(flags) != self.n:
+            raise MalformedInputError(f"expected {self.n} flag bits, got {len(flags)}")
+        if any(k not in (0, 1) for k in flags):
+            raise MalformedInputError("flag bits must be 0 or 1")
+        object.__setattr__(self, "k_flags", tuple(int(k) for k in flags))
         for (u, v) in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
                 raise MalformedInputError(f"bad edge ({u}, {v}) for n={self.n}")
         if self.special_edge is not None:
-            u, v, _ = self.special_edge
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
+            u, v, chi = self.special_edge
+            if not (0 <= u < self.n and 0 <= v < self.n) or u == v or not np.isfinite(chi):
                 raise MalformedInputError(f"bad special edge {self.special_edge}")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -127,7 +130,7 @@ class GraphSpec:
 def graph(n, edges=(), k_flags=None, special=None) -> GraphSpec:
     """Normalizing constructor: sorts and deduplicates edges."""
     norm = sorted({(min(u, v), max(u, v)) for (u, v) in edges})
-    flags = tuple(int(k) for k in k_flags) if k_flags is not None else (0,) * n
+    flags = tuple(k_flags) if k_flags is not None else ()
     sp = None
     if special is not None:
         u, v, chi = special
@@ -149,13 +152,11 @@ def parse_graph_spec(text: str) -> GraphSpec:
     head = lines[0].split()
     try:
         n = int(head[0])
+        if n > MAX_QUBITS:  # before anything of size n is built
+            raise TooManyQubits(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
         flags = [int(tok) for tok in head[1:]]
     except ValueError as exc:
         raise MalformedInputError(f"bad header line {lines[0]!r}") from exc
-    if flags and len(flags) != n:
-        raise MalformedInputError(f"expected {n} flag bits, got {len(flags)}")
-    if any(f not in (0, 1) for f in flags):
-        raise MalformedInputError("flag bits must be 0 or 1")
     edges = []
     special = None
     for ln in lines[1:]:
@@ -171,16 +172,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
                 raise MalformedInputError(f"bad line {ln!r}")
         except (ValueError, IndexError) as exc:
             raise MalformedInputError(f"bad line {ln!r}") from exc
-    return graph(n, edges, flags or None, special)
-
-
-def format_graph_spec(g: GraphSpec) -> str:
-    lines = [" ".join([str(g.n)] + [str(k) for k in g.k_flags])]
-    lines += [f"{u} {v}" for (u, v) in g.edges]
-    if g.special_edge is not None:
-        u, v, chi = g.special_edge
-        lines.append(f"special {u} {v} {chi!r}")
-    return "\n".join(lines) + "\n"
+    return graph(n, edges, flags, special)
 
 
 def parse_scenario(text: str) -> "FusionScenario":
@@ -281,35 +273,11 @@ def check_stabilizers(state: np.ndarray, g: GraphSpec) -> bool:
     return True
 
 
-def state_overlap(x: np.ndarray, y: np.ndarray) -> float:
-    """|<x|y>| -- global-phase-blind comparison of unit vectors."""
-    return float(abs(np.vdot(x, y)))
-
-
-def merge_logical(state: np.ndarray, a: int, e: int):
-    """Project (a, e) onto span{|00>, |11>} and fuse them into one qubit.
-
-    Returns (reduced state, weight) where weight is the pre-normalization
-    norm of the projected vector.  The logical qubit sits at a's axis (shifted
-    down by one if e < a).
-    """
-    if a == e:
-        raise ValueError("need two distinct qubits")
-    block0 = state[_at(state.ndim, {a: 0, e: 0})]
-    block1 = state[_at(state.ndim, {a: 1, e: 1})]
-    new_axis = a - 1 if e < a else a
-    merged = np.stack([block0, block1], axis=new_axis)
-    weight = float(np.linalg.norm(merged))
-    if weight <= _NORM_FLOOR:
-        raise ZeroOverlap("state has no component in the logical subspace")
-    return merged / weight, weight
-
-
 def expand_logical(state: np.ndarray, a: int) -> np.ndarray:
-    """Inverse of merge_logical's relabeling: append a partner axis copying qubit a.
+    """Append a logical partner axis that copies qubit a's bit.
 
     The new qubit occupies the last axis; amplitudes with unequal (a, partner)
-    bits are zero, so merging back is lossless.
+    bits are zero, so the (a, partner) = (x, x) slices hold the whole state.
     """
     if state.ndim + 1 > MAX_QUBITS:
         raise TooManyQubits("logical expansion exceeds the dense cap")

@@ -21,8 +21,7 @@ __all__ = [
     "write_csv",
     "write_json",
     "entropy_scale",
-    "sweep_expectation_csv",
-    "sweep_threshold_csv",
+    "sweep_csv",
     "scatter_csv",
     "analyze_report",
 ]
@@ -98,66 +97,32 @@ def entropy_scale(nats: bool) -> tuple[float, str]:
 # schema helpers for the command-line artifacts
 
 
-def sweep_expectation_csv(path, rows, nats: bool = False) -> None:
-    scale, unit = entropy_scale(nats)
-    header = [
-        "p_target",
-        "S_exp_max",
-        "S_exp_mean",
-        "states_used",
-        "seed",
-        "iterations",
-        "units",
-        "p_total",
-    ]
-    write_csv(
-        path,
-        header,
+def sweep_csv(path, rows, mode: str, nats: bool = False) -> None:
+    """One row per `optimize.sweep` target.  Threshold targets are named in
+    bits and stay in bits, and P is unitless, so `nats` scales <S> only."""
+    if mode == "expectation":
+        scale, unit = entropy_scale(nats)
+        names = ["p_target", "S_exp_max", "S_exp_mean"]
+    elif mode == "threshold":
+        scale, unit = 1.0, "bits"
+        names = ["s_target_bits", "P_max", "P_mean"]
+    else:
+        raise ValueError(f"mode must be expectation or threshold, got {mode!r}")
+    header = names + ["states_used", "seed", "iterations", "units", "p_total"]
+    data = (
         (
-            (
-                r["target"],
-                r["hard_value"] * scale,
-                r["mean_value"] * scale,
-                r["states_used"],
-                r["seed"],
-                r["iterations"],
-                unit,
-                r["p_total"],
-            )
-            for r in rows
-        ),
+            r["target"],
+            r["hard_value"] * scale,
+            r["mean_value"] * scale,
+            r["states_used"],
+            r["seed"],
+            r["iterations"],
+            unit,
+            r["p_total"],
+        )
+        for r in rows
     )
-
-
-def sweep_threshold_csv(path, rows) -> None:
-    # the target column is named in bits and stays in bits; P is unitless
-    header = [
-        "s_target_bits",
-        "P_max",
-        "P_mean",
-        "states_used",
-        "seed",
-        "iterations",
-        "units",
-        "p_total",
-    ]
-    write_csv(
-        path,
-        header,
-        (
-            (
-                r["target"],
-                r["hard_value"],
-                r["mean_value"],
-                r["states_used"],
-                r["seed"],
-                r["iterations"],
-                "bits",
-                r["p_total"],
-            )
-            for r in rows
-        ),
-    )
+    write_csv(path, header, data)
 
 
 def scatter_csv(path, rows, mode: str, nats: bool = False) -> None:

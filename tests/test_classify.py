@@ -70,7 +70,7 @@ def test_pbs2_outcomes_are_stabilizer():
 
 
 def test_theorem7_antidiagonal_branch():
-    oc = fusion.outcome_coefficients(matrices.builtin("theorem7"), 1, 2)
+    oc = fusion.outcome_table(matrices.builtin("theorem7")).get(1, 2)
     phi = is_stabilizer(oc.coefficients)
     assert phi == pytest.approx(0.0, abs=1e-12)
 
@@ -180,7 +180,7 @@ def test_generic_states():
 
 
 def test_zero_probability_outcome_flagged_product():
-    oc = fusion.outcome_coefficients(matrices.builtin("pbs2"), 1, 2)
+    oc = fusion.outcome_table(matrices.builtin("pbs2")).get(1, 2)
     assert oc.zero_probability
     res = classify(oc)
     assert res.labels == ("Product",)
@@ -233,13 +233,13 @@ def test_unnormalized_quadruple_rejected(check):
     with pytest.raises(ValueError):
         check(np.zeros(4))
     # the raw coefficients of a live outcome have norm 2 sqrt(p), not 1
-    raw = fusion.outcome_coefficients(matrices.builtin("pbs2"), 1, 3).raw
+    raw = fusion.outcome_table(matrices.builtin("pbs2")).get(1, 3).raw
     with pytest.raises(ValueError):
         check(np.array(raw))
     with pytest.raises(ValueError):
         check(np.array([np.nan, 0.0, 0.0, 1.0]))
     # a predicate has no answer for an outcome that never fires
-    zero = fusion.outcome_coefficients(matrices.builtin("pbs2"), 1, 2)
+    zero = fusion.outcome_table(matrices.builtin("pbs2")).get(1, 2)
     if check is not classify:
         with pytest.raises(ValueError):
             check(zero)

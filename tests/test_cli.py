@@ -312,6 +312,15 @@ def test_oracle_register_too_large(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_rejects_non_finite_chi(tmp_path, capsys):
+    """A NaN weight once reached the SVD: a RuntimeWarning, then "did not converge"."""
+    path = tmp_path / "nan.scenario"
+    path.write_text(SCENARIO.replace("right", "special 0 1 nan\nright"))
+    assert main(["oracle", str(path), "--matrix", "pbs2"]) == 2
+    assert "bad special edge" in capsys.readouterr().err
+
+
 def test_oracle_malformed_scenario(tmp_path, capsys):
     path = tmp_path / "broken.scenario"
     path.write_text("left\n2\n0 1\n")

@@ -107,7 +107,7 @@ def test_schmidt_pair():
 
 
 def test_zero_probability_outcome_raises():
-    oc = fusion.outcome_coefficients(matrices.builtin("pbs2"), 1, 2)
+    oc = fusion.outcome_table(matrices.builtin("pbs2")).get(1, 2)
     with pytest.raises(entanglement.ZeroProbabilityOutcomeError):
         entanglement.determinant(oc)
     with pytest.raises(entanglement.ZeroProbabilityOutcomeError):
@@ -134,8 +134,10 @@ def test_maxent_generic_matrix_is_not():
         assert not entanglement.is_maximally_entangled(U5, i, j)
 
 
+
 def test_determinant_from_matrix_single():
+    table = fusion.outcome_table(U5)
     for idx, (i, j) in enumerate(fusion.RELEVANT_PAIRS):
-        assert entanglement.determinant_from_matrix(U5, i, j) == pytest.approx(
+        assert entanglement.determinant(table.get(i, j)) == pytest.approx(
             U5_DETS[idx], abs=1e-14
         )

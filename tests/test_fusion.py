@@ -102,17 +102,18 @@ def test_theorem7_invariants():
     assert k == pytest.approx([0.5, -0.5, 0.5, -0.5])
 
 
-def test_outcome_probability_matches_vector():
+def test_table_probability_matches_vector():
+    table = fusion.outcome_table(U5)
     p = fusion.relevant_probabilities(U5)
     for idx, (i, j) in enumerate(fusion.RELEVANT_PAIRS):
-        assert fusion.outcome_probability(U5, i, j) == pytest.approx(p[idx], abs=1e-15)
+        assert table.get(i, j).probability == pytest.approx(p[idx], abs=1e-15)
 
 
-def test_outcome_probability_validates_pair():
-    with pytest.raises(ValueError):
-        fusion.outcome_probability(U5, 2, 1)
-    with pytest.raises(ValueError):
-        fusion.outcome_probability(U5, 0, 3)
+def test_table_get_validates_pair():
+    table = fusion.outcome_table(U5)
+    for i, j in ((2, 1), (0, 3), (1, 5)):
+        with pytest.raises(ValueError, match="need channel indices"):
+            table.get(i, j)
 
 
 def test_norm_squared_is_four_p():
@@ -134,7 +135,7 @@ def test_diag_norm_squared_is_two_p():
 
 def test_theorem7_outcome_12():
     # both photons in arm c: the conditional state is the (HV + VH) Bell pair
-    oc = fusion.outcome_coefficients(matrices.builtin("theorem7"), 1, 2)
+    oc = fusion.outcome_table(matrices.builtin("theorem7")).get(1, 2)
     assert oc.probability == pytest.approx(0.125, abs=1e-15)
     assert oc.coefficients == pytest.approx(
         [0.0, -INV_SQRT2, -INV_SQRT2, 0.0], abs=1e-12
@@ -142,7 +143,7 @@ def test_theorem7_outcome_12():
 
 
 def test_zero_probability_outcome_is_flagged():
-    oc = fusion.outcome_coefficients(matrices.builtin("pbs2"), 1, 2)
+    oc = fusion.outcome_table(matrices.builtin("pbs2")).get(1, 2)
     assert oc.zero_probability
     assert oc.probability == 0.0
     assert np.all(oc.coefficients == 0.0)

@@ -16,14 +16,11 @@ from fusionlab.oracle import (
     check_weighted_graph_equivalence,
     compare_scenario,
     expand_logical,
-    format_graph_spec,
     fuse,
     graph,
-    merge_logical,
     parse_graph_spec,
     parse_scenario,
     random_graph_spec,
-    state_overlap,
 )
 
 
@@ -44,8 +41,9 @@ def _two_path_scenario(**kw):
 
 
 def test_graph_round_trip():
+    """The text form of a graph with flags and a special edge parses back to it."""
     g = graph(4, [(0, 1), (1, 2), (0, 3)], k_flags=[1, 0, 0, 1], special=(2, 3, 0.7))
-    assert parse_graph_spec(format_graph_spec(g)) == g
+    assert parse_graph_spec("4 1 0 0 1\n1 0\n1 2\n3 0\nspecial 3 2 0.7\n") == g
 
 
 def test_graph_parse_comments_and_blanks():
@@ -71,6 +69,36 @@ def test_graph_parse_comments_and_blanks():
 def test_graph_parse_rejects(text):
     with pytest.raises(MalformedInputError):
         parse_graph_spec(text)
+
+
+# malformed graphs are refused at construction, before any state is built
+
+
+def test_graph_rejects_extra_flags():
+    """Once accepted, then an IndexError in build_graph_state."""
+    with pytest.raises(MalformedInputError, match="expected 2 flag bits, got 3"):
+        graph(2, [(0, 1)], k_flags=[1, 1, 1])
+
+
+def test_graph_rejects_non_bit_flag():
+    """Once accepted, building a state that check_stabilizers rejects."""
+    with pytest.raises(MalformedInputError, match="0 or 1"):
+        graph(2, [(0, 1)], k_flags=[2, 0])
+
+
+@pytest.mark.parametrize("chi", [np.nan, np.inf])
+def test_graph_rejects_non_finite_chi(chi):
+    with pytest.raises(MalformedInputError, match="special edge"):
+        graph(3, [(0, 1)], special=(0, 2, chi))
+    with pytest.raises(MalformedInputError, match="special edge"):
+        parse_graph_spec(f"3\n0 1\nspecial 0 2 {chi}\n")
+
+
+def test_graph_parse_checks_size_first(monkeypatch):
+    """A header above MAX_QUBITS is refused before a graph of that size is built."""
+    monkeypatch.setattr(oracle, "graph", None)
+    with pytest.raises(TooManyQubits):
+        parse_graph_spec(f"{oracle.MAX_QUBITS + 1}\n0 1\n")
 
 
 def test_graph_neighbors_include_special_edge():
@@ -131,30 +159,15 @@ def test_dense_cap():
 # logical-qubit plumbing and the projector
 
 
-def test_merge_logical_plus_plus():
-    # |++> has half its weight outside span{|00>, |11>}
-    state = np.full((2, 2), 0.5, dtype=complex)
-    merged, weight = merge_logical(state, 0, 1)
-    assert weight == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert np.allclose(merged, [INV_SQRT2, INV_SQRT2])
-
-
-def test_merge_logical_rejects_odd_states():
-    state = np.zeros((2, 2), dtype=complex)
-    state[0, 1] = 1.0
-    with pytest.raises(ZeroOverlap):
-        merge_logical(state, 0, 1)
-    with pytest.raises(ValueError):
-        merge_logical(state, 1, 1)
-
-
 def test_expand_merge_round_trip():
+    """Expansion is lossless: the (a, partner) = (x, x) slices hold the whole
+    state, so merging the pair back into one qubit returns it exactly."""
     psi = build_graph_state(_path(3))
     grown = expand_logical(psi, 1)
     assert grown.shape == (2, 2, 2, 2)
-    back, weight = merge_logical(grown, 1, 3)
-    assert weight == pytest.approx(1.0, abs=1e-12)
-    assert state_overlap(back, psi) == pytest.approx(1.0, abs=1e-12)
+    back = np.stack([grown[:, 0, :, 0], grown[:, 1, :, 1]], axis=1)
+    assert np.array_equal(back, psi)
+    assert np.linalg.norm(grown) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projector_on_ghz():
@@ -235,7 +248,7 @@ def test_pbs2_outcomes_on_two_paths():
 
 def test_te_stabilizer_verdict():
     sc = _two_path_scenario()
-    oc = fusion.outcome_coefficients(matrices.builtin("theorem7"), 1, 2)
+    oc = fusion.outcome_table(matrices.builtin("theorem7")).get(1, 2)
     run = fuse(sc, oc.raw)
     assert check_Te_stabilizer(run.state, sc, 0.0)
     assert not check_Te_stabilizer(run.state, sc, 0.3)
@@ -258,7 +271,7 @@ def test_te_stabilizer_carries_fused_qubit_flags(k_a, k_b):
     checks = [r["stabilizer_check"] for r in report["outcomes"] if "stabilizer_check" in r]
     assert checks == [True] * 4
     assert report["pass"] is True
-    run = fuse(sc, fusion.outcome_coefficients(u, 1, 2).raw)
+    run = fuse(sc, fusion.outcome_table(u).get(1, 2).raw)
     assert check_Te_stabilizer(run.state, sc, 0.0)
     assert not check_Te_stabilizer(run.state, sc, np.pi)
 
