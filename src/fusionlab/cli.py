@@ -7,6 +7,7 @@ Every command is deterministic given its flags and seed, prints numbers with
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -23,7 +24,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process; each parse returns a
+    fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="fusionlab",
         description="Type-II fusion toolkit: outcome tables, entanglement "

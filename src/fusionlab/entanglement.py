@@ -10,6 +10,8 @@ whose determinant equals |A D - B C|^2.  Everything here flows from that
 single number: the eigenvalue pair (1 +- sqrt(1 - 4 det)) / 2, the
 entanglement entropy, and the Schmidt coefficients.  det = 1/4 characterizes
 maximal entanglement; det = 0 a product state.
+The batched functions wrap the batch-last kernel `fusion._outcomes`, which
+applies these elementwise closed forms to its (6, ...) determinants.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from .classify import _check_tol
 from .fusion import RELEVANT_PAIRS, Outcome, relevant_probabilities, channel_invariants, _PI, _PJ
+from .fusion import _batch_first, _outcomes, _rows
 from .matrices import FusionlabError, validate_unitary
 
 __all__ = [
@@ -86,27 +89,8 @@ def determinant(outcome: Outcome) -> float:
     return float(abs(outcome.a * outcome.d - outcome.b * outcome.c) ** 2)
 
 
-def _minors(x, y):
-    """x_i y_j - x_j y_i over the six relevant pairs (i, j), shape (..., 6)."""
-    return x[..., _PI] * y[..., _PJ] - x[..., _PJ] * y[..., _PI]
-
-
-def _determinants(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """`determinants_from_matrix` for a batch whose relevant probabilities p
-    the caller already holds.
-
-    The second factor is written with the opposite sign; it enters squared.
-    """
-    top = _minors(u[..., 0, :], u[..., 1, :])
-    bot = _minors(u[..., 2, :], u[..., 3, :])
-    num = np.abs(top * bot) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.where(p > 0.0, num / np.maximum(4.0 * p, 1e-300) ** 2, 0.0)
-    return np.clip(det, 0.0, DET_MAX)
-
-
 def determinants_from_matrix(matrix) -> np.ndarray:
-    """All six relevant-outcome determinants via the factored identity.
+    """All six relevant-outcome determinants via the factored identity
 
         A D - B C = (U_1i U_2j - U_1j U_2i)(U_3j U_4i - U_3i U_4j) / (4 p_ij)
 
@@ -114,8 +98,7 @@ def determinants_from_matrix(matrix) -> np.ndarray:
     This is an algebraically independent route from the coefficient-based
     `determinant` and serves as a cross-check of both.
     """
-    u = np.asarray(matrix, dtype=complex)
-    return _determinants(u, relevant_probabilities(u))
+    return _batch_first(_outcomes(_rows(matrix)).det)
 
 
 def eigenvalues_from_det(det):
@@ -182,7 +165,7 @@ def _entropy_slope(det):
 
 def entropies_from_matrix(matrix) -> np.ndarray:
     """Entropies in bits of all six relevant outcomes, shape (..., 6)."""
-    return entropy_from_det(determinants_from_matrix(matrix))
+    return _batch_first(_outcomes(_rows(matrix)).s)
 
 
 def outcome_entropy(outcome: Outcome) -> float:

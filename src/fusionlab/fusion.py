@@ -26,13 +26,16 @@ from the per-channel invariants
 as  p_ij = 1/8 - n_i n_j / 2 - |U_1i conj(U_1j) + U_2i conj(U_2j)|^2 / 2
 and p_ii = m_i (1 - m_i) / 2.  Channel indices in the public API are 1-based.
 
-The kernels accept stacked matrices of shape (..., 4, 4) and return
-correspondingly batched arrays.  One matrix's outcomes, with their
-normalized coefficients, come from `outcome_table`; `OutcomeTable.get(i, j)`
-picks one.
+The public kernels take stacked matrices of shape (..., 4, 4) and return
+batched arrays.  They wrap one private kernel, `_outcomes`, which works
+batch last: it reads rows r0..r3 of U from a (4, 4, ...) array (`_rows`)
+and returns (4, ...) or (6, ...) arrays, one row per channel or pair.  One
+matrix's outcomes, with their normalized coefficients, come from
+`outcome_table`; `OutcomeTable.get(i, j)` picks one.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -119,18 +122,62 @@ def channel_invariants(matrix) -> ChannelInvariants:
 # --------------------------------------------------------------------------- #
 
 def _check_and_clamp(p: np.ndarray, upper: float) -> np.ndarray:
-    if np.any(p < -PROB_CLAMP) or np.any(p > upper + PROB_CLAMP):
-        bad = float(np.min(p)) if np.any(p < -PROB_CLAMP) else float(np.max(p))
+    if (p < -PROB_CLAMP).any() or (p > upper + PROB_CLAMP).any():
+        bad = float(np.min(p)) if (p < -PROB_CLAMP).any() else float(np.max(p))
         raise InconsistentProbabilityError(
             f"probability {bad!r} outside [0, {upper}] beyond rounding tolerance"
         )
     return np.clip(p, 0.0, upper)
 
 
+# the kernel's output, batch last: m and n (4, ...); the overlaps o_ij =
+# U_1i conj(U_1j) + U_2i conj(U_2j), p, the minors of rows (1, 2) and (3, 4),
+# det and S in bits (6, ...); the last four None if it stops after p
+_Outcomes = namedtuple("_Outcomes", "m n overlap p top bot det s")
+
+
+def _rows(matrix) -> np.ndarray:
+    """A (..., 4, 4) matrix batch rows first and batch last: contiguous
+    (4, 4, ...) with [r, i] the batch of U_ri."""
+    u = np.asarray(matrix, dtype=complex)
+    return np.ascontiguousarray(u.transpose(u.ndim - 2, u.ndim - 1, *range(u.ndim - 2)))
+
+
+def _batch_first(x: np.ndarray) -> np.ndarray:
+    """A batch-last kernel output (k, ...) as (..., k)."""
+    return x.transpose(*range(1, x.ndim), 0)
+
+
+def _outcomes(r: np.ndarray, entropies: bool = True) -> _Outcomes:
+    """Every relevant-outcome quantity (`_Outcomes`) of the matrices with
+    rows r[0..3], r of shape (4, 4, ...) from `_rows`.  det comes from the
+    factored identity of `entanglement.determinants_from_matrix`, the second
+    minor of the opposite sign as it enters squared."""
+    r0, r1, r2, r3 = r
+    m = np.abs(r0) ** 2 + np.abs(r1) ** 2
+    n = 0.5 - m
+    overlap = r0[_PI] * r0[_PJ].conj() + r1[_PI] * r1[_PJ].conj()
+    p = _check_and_clamp(0.125 - 0.5 * n[_PI] * n[_PJ] - 0.5 * np.abs(overlap) ** 2, 0.25)
+    if not entropies:
+        return _Outcomes(m, n, overlap, p, None, None, None, None)
+    from . import entanglement  # which builds on this module
+    top = r0[_PI] * r1[_PJ] - r0[_PJ] * r1[_PI]
+    bot = r2[_PI] * r3[_PJ] - r2[_PJ] * r3[_PI]
+    num = np.abs(top * bot) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.where(p > 0.0, num / np.maximum(4.0 * p, 1e-300) ** 2, 0.0)
+    det = np.clip(det, 0.0, entanglement.DET_MAX)
+    return _Outcomes(m, n, overlap, p, top, bot, det, entanglement.entropy_from_det(det))
+
+
+def _diag(m: np.ndarray) -> np.ndarray:
+    """Same-channel probabilities m_i (1 - m_i) / 2 from the channel weights."""
+    return _check_and_clamp(0.5 * m * (1.0 - m), 0.125)
+
+
 def diag_probabilities(matrix) -> np.ndarray:
     """Probabilities of the four same-channel outcomes, shape (..., 4)."""
-    m = channel_invariants(matrix).m
-    return _check_and_clamp(0.5 * m * (1.0 - m), 0.125)
+    return _batch_first(_diag(_outcomes(_rows(matrix), entropies=False).m))
 
 
 def relevant_probabilities(matrix) -> np.ndarray:
@@ -138,12 +185,7 @@ def relevant_probabilities(matrix) -> np.ndarray:
 
     Order follows RELEVANT_PAIRS.  Each value is bounded by 1/4.
     """
-    u = np.asarray(matrix, dtype=complex)
-    top = u[..., :2, :]
-    n = 0.5 - np.sum(np.abs(top) ** 2, axis=-2)
-    overlap = np.sum(top[..., :, _PI] * top[..., :, _PJ].conj(), axis=-2)
-    p = 0.125 - 0.5 * n[..., _PI] * n[..., _PJ] - 0.5 * np.abs(overlap) ** 2
-    return _check_and_clamp(p, 0.25)
+    return _batch_first(_outcomes(_rows(matrix), entropies=False).p)
 
 
 def total_relevant_probability(matrix) -> np.ndarray | float:
@@ -274,8 +316,8 @@ class OutcomeTable:
 def outcome_table(matrix) -> OutcomeTable:
     """Assemble the full 10-outcome table; probabilities sum to 1."""
     u = validate_unitary(matrix)
-    diag_p = diag_probabilities(u)
-    rel_p = relevant_probabilities(u)
+    out = _outcomes(_rows(u), entropies=False)
+    diag_p, rel_p = _diag(out.m), out.p
     diag_c, rel_c = raw_coefficient_blocks(u)
     rows = [
         _build_outcome(i, i, diag_c[i - 1], float(diag_p[i - 1]))

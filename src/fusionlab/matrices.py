@@ -171,36 +171,50 @@ def _count(n, name: str = "size") -> int:
 
 def _haar_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Q of the QR decomposition z = Q R with diag(R) real and positive, for
-    z = re + i im of shape (..., m, m).
+    z = re + i im of shape (B, m, m) or (m, m), columns first and batch
+    last: q[j, i, b] = Q_b[i, j], so q.T is Q.
 
     Classical Gram-Schmidt, applied twice per column, which keeps Q unitary
     to machine precision (Giraud, Langou & Rozlozník, Comput. Math. Appl.
-    50, 1069, 2005), vectorised over blocks of `_BLOCK` matrices.  Its R_jj
-    is the norm of column j after the projections, real and positive, so Q
-    is the phase-fixed Q of Mezzadri (Notices AMS 54, 592, 2007) and matches
-    the Householder Q of `np.linalg.qr` after that phase fix up to rounding.
+    50, 1069, 2005), vectorised over the batch.  Its R_jj is the norm of
+    column j after the projections, real and positive, so Q is the
+    phase-fixed Q of Mezzadri (Notices AMS 54, 592, 2007) and matches the
+    Householder Q of `np.linalg.qr` after that phase fix up to rounding.
     """
-    shape, m = re.shape, re.shape[-1]
-    re, im = re.reshape(-1, m, m), im.reshape(-1, m, m)
-    out = np.empty(re.shape, dtype=complex)
-    for k in range(0, len(re), _BLOCK):
-        block = slice(k, k + _BLOCK)
-        # columns first, batch last: column j of the block is z[j], (m, B)
-        z = np.empty(re[block].T.shape, dtype=complex)
-        z.real, z.imag = re[block].T, im[block].T
-        q = np.empty_like(z)
-        for j in range(m):
-            v = z[j]
-            if j:  # project out q_0 .. q_{j-1}, twice
-                q_done, q_conj = q[:j], q[:j].conj()
-                for _ in range(2):
-                    v = v - (q_done * (q_conj * v).sum(axis=1)[:, None]).sum(axis=0)
-            norm = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
-            if norm.min() < 1e-12:
-                raise DegenerateSampleError("Gram-Schmidt column norm numerically zero")
-            q[j] = v / norm
-        out[block] = q.T
-    return out.reshape(shape)
+    z = np.empty(re.T.shape, dtype=complex)  # column j of the batch is z[j]
+    z.real, z.imag = re.T, im.T
+    q = np.empty_like(z)
+    for j in range(len(z)):
+        v = z[j]
+        if j:  # project out q_0 .. q_{j-1}, twice
+            q_done, q_conj = q[:j], q[:j].conj()
+            for _ in range(2):
+                v = v - (q_done * (q_conj * v).sum(axis=1)[:, None]).sum(axis=0)
+        norm = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        if norm.min() < 1e-12:
+            raise DegenerateSampleError("Gram-Schmidt column norm numerically zero")
+        q[j] = v * (1.0 / norm)  # what numpy's complex division by a real computes
+    return q
+
+
+def _haar_blocks(rng, n: int):
+    """Yield (block, q) with q = `_haar_qr` of n Ginibre draws, `_BLOCK` at a
+    time.  The stream holds all real parts, then all imaginary parts, which
+    are drawn block by block.  A degenerate block redraws all n (five draws
+    at most) and yields again from the first block: consumers write each q
+    into its block's slice of a preallocated array."""
+    for _ in range(5):
+        re, drawn = rng.standard_normal((n, 4, 4)), 0
+        try:
+            for k in range(0, n, _BLOCK):
+                block = slice(k, k + _BLOCK)
+                im = rng.standard_normal(re[block].shape)
+                drawn += len(im)
+                yield block, _haar_qr(re[block], im)
+            return
+        except DegenerateSampleError:
+            rng.standard_normal((n - drawn, 4, 4))  # the rest of this draw
+    raise DegenerateSampleError("repeated degenerate Ginibre draws")
 
 
 def haar_sample(rng, size: int | None = None) -> np.ndarray:
@@ -213,15 +227,11 @@ def haar_sample(rng, size: int | None = None) -> np.ndarray:
     `_haar_qr`).  The draw takes the real parts of all matrices, then their
     imaginary parts.  Identical seeds give identical results.
     """
-    shape = () if size is None else (_count(size),)
-    rng = np.random.default_rng(rng)
-    for _ in range(5):
-        re, im = rng.standard_normal((2,) + shape + (4, 4))
-        try:
-            return _haar_qr(re, im)
-        except DegenerateSampleError:
-            continue
-    raise DegenerateSampleError("repeated degenerate Ginibre draws")
+    n = 1 if size is None else _count(size)
+    out = np.empty((n, 4, 4), dtype=complex)
+    for block, q in _haar_blocks(np.random.default_rng(rng), n):
+        out[block] = q.T
+    return out[0] if size is None else out
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ and a final exchange ranks every target's points at every target (see
 hard value, its signed gap p_total - p_target (0 in threshold mode) and its
 phase schedule of per-outcome gradient weights, all at per-row targets; the
 engine owns the gradient, pool scoring, best-point tracking and the final
-merge with the builtin matrices.
+merge with the builtin matrices.  Per-outcome arrays are batch last.
 
 Gradients are exact and reverse-mode, one eigendecomposition of H per restart
 and iteration.  Every descent direction is a weighted sum
@@ -101,19 +101,19 @@ class ExpectationEntropy:
         return self.p_target
 
     @staticmethod
-    def _score(u, p, s, target):
-        """Hard <S> and the signed gap p_total - target, per row; the
-        same-channel outcomes carry S = 0."""
-        return np.sum(p * s, axis=-1), np.sum(p, axis=-1) - target
+    def _score(out, target):
+        """Hard <S> and the signed gap p_total - target, per row of the
+        kernel output `out`; the same-channel outcomes carry S = 0."""
+        return np.sum(out.p * out.s, axis=0), np.sum(out.p, axis=0) - target
 
     def _phases(self, iterations: int):
         """Quadratic penalty, then the exact L1 penalty with fresh momentum."""
 
         def quadratic(s, gap, target):
-            return 2.0 * self.alpha * gap[:, None] - s, -1.0, 0.0
+            return 2.0 * self.alpha * gap - s, -1.0, 0.0
 
         def exact(s, gap, target):
-            return L1_BETA * np.sign(gap)[:, None] - s, -1.0, 0.0
+            return L1_BETA * np.sign(gap) - s, -1.0, 0.0
 
         return [_Phase(0, quadratic, False), _Phase(iterations // 3, exact, True)]
 
@@ -141,14 +141,16 @@ class ThresholdProbability:
         return self.s_target_bits
 
     @staticmethod
-    def _score(u, p, s, target):
-        """Hard P(s) per row at a target or per-row target array; the
-        same-channel total (S = 0) counts only where target <= 0.  Every
-        point is on target, so the gap is 0."""
+    def _score(out, target):
+        """Hard P(s) per row of the kernel output `out` at a target or an
+        array of targets that broadcasts against the rows (the outcome axis
+        goes before them); the same-channel total (S = 0) counts only where
+        target <= 0.  Every point is on target, so the gap is 0."""
         target = np.asarray(target)
-        value = np.sum(np.where(s >= target[..., None], p, 0.0), axis=-1)
+        hit = out.s >= (target[..., None, :] if target.ndim else target)
+        value = np.sum(np.where(hit, out.p, 0.0), axis=-out.s.ndim)
         if np.any(target <= 0.0):
-            p_diag = np.sum(fusion.diag_probabilities(u), axis=-1)
+            p_diag = np.sum(fusion._diag(out.m), axis=0)
             value = value + np.where(target <= 0.0, p_diag, 0.0)
         value = np.clip(value, 0.0, 1.0)
         return value, np.zeros_like(value)
@@ -166,7 +168,7 @@ class ThresholdProbability:
         """Weights that descend on -(sum p sigma((S - s) / tau) + sigma(-s / tau) p_diag),
         the same-channel term only in rows with target s <= 0."""
         target = np.asarray(target)
-        sig = _logistic((s - target[..., None]) / tau)
+        sig = _logistic((s - target) / tau)
         c = np.where(target <= 0.0, -_logistic(-target / tau), 0.0)
         return -sig, -sig * (1.0 - sig) / tau, c
 
@@ -216,13 +218,6 @@ class OptResult:
 # objectives
 
 
-def _outcomes(u: np.ndarray):
-    """(p, det, S) of the six relevant outcomes of a matrix batch, p computed once."""
-    p = fusion.relevant_probabilities(u)
-    det = entanglement._determinants(u, p)
-    return p, det, entanglement.entropy_from_det(det)
-
-
 def expectation_entropy(matrix):
     """<S> in bits: probability-weighted entropy over the six relevant outcomes."""
     u = np.asarray(matrix, dtype=complex)
@@ -248,8 +243,8 @@ def _logistic(x):
 
 
 def _states_used(matrix, s_ref: float) -> int:
-    p, _, s = _outcomes(matrix)
-    return int(np.sum((p > STATES_P_FLOOR) & (s >= s_ref - 1e-9)))
+    out = fusion._outcomes(fusion._rows(matrix))
+    return int(np.sum((out.p > STATES_P_FLOOR) & (out.s >= s_ref - 1e-9)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +252,23 @@ def _states_used(matrix, s_ref: float) -> int:
 
 
 def _pairs(upper, lower=None) -> np.ndarray:
-    """(..., 4, 4) matrix holding `upper` at the six pairs (i, j), i < j,
-    `lower` (default `upper`) at (j, i) and zeros on the diagonal."""
-    m = np.zeros(np.shape(upper)[:-1] + (4, 4), dtype=complex)
-    m[..., _PI, _PJ] = upper
-    m[..., _PJ, _PI] = upper if lower is None else lower
+    """(N, 4, 4) matrices holding the (6, N) `upper` at the six pairs (i, j),
+    i < j, `lower` (default `upper`) at (j, i) and zeros on the diagonal."""
+    m = np.zeros(np.shape(upper)[1:] + (4, 4), dtype=complex)
+    m[..., _PI, _PJ] = upper.T
+    m[..., _PJ, _PI] = (upper if lower is None else lower).T
     return m
 
 
-def _pullback(w, v, u, p, det, a, b, c=0.0) -> np.ndarray:
+def _pullback(w, v, u, out, a, b, c=0.0) -> np.ndarray:
     """sum_k a_k dp_k + b_k p_k dS_k + c dp_diag along the 16 parameters, (R, 16),
     over the six relevant outcomes and the same-channel total p_diag.
 
-    w, v, u come from `matrices._exp_eigh` of the restarts' parameters, p and
-    det are their relevant probabilities and determinants; a and b are (R, 6)
+    w, v, u come from `matrices._exp_eigh` of the restarts' parameters and
+    `out` is the kernel output `fusion._outcomes` of u; a and b are (6, R)
     or scalars, c (R,) or a scalar.  One vector-Jacobian product: with df
-    that sum, G = df/dRe(U) + i df/dIm(U) is built in closed form,
+    that sum, G = df/dRe(U) + i df/dIm(U) is built in closed form from the
+    forward pass,
 
       p_ij = 1/8 - n_i n_j / 2 - |o_ij|^2 / 2,  n_i = 1/2 - |U_1i|^2 - |U_2i|^2,
           o_ij = U_1i conj(U_1j) + U_2i conj(U_2j), so rows 1, 2 of G are
@@ -293,18 +289,17 @@ def _pullback(w, v, u, p, det, a, b, c=0.0) -> np.ndarray:
     that is the parameters of Z plus the conjugate transpose of its strict
     lower triangle.
     """
-    slope = b * entanglement._entropy_slope(det)
-    a = _pairs(a - 2.0 * slope * det)
-    e = np.where(p > 0.0, slope / (8.0 * np.where(p > 0.0, p, 1.0)), 0.0)  # 2 x weight of |top bot|^2
-    r12 = u[..., :2, :]
-    gram = r12.swapaxes(-1, -2) @ r12.conj()  # o_ij off the diagonal, 1/2 - n_i on it
-    n = 0.5 - np.diagonal(gram, axis1=-2, axis2=-1).real
+    slope = b * entanglement._entropy_slope(out.det)
+    a = a - 2.0 * slope * out.det
+    live = out.p > 0.0
+    e = np.where(live, slope / (8.0 * np.where(live, out.p, 1.0)), 0.0)  # 2 x weight of |top bot|^2
+    n = out.n.T[..., None]
+    k = np.eye(4) * ((_pairs(a) + 2.0 * np.asarray(c)[..., None, None] * np.eye(4)) @ n)
+    k -= _pairs(a * out.overlap.conj(), a * out.overlap)
     g = np.zeros_like(u)
-    c = np.asarray(c)[..., None, None]
-    g[..., :2, :] = r12 @ (np.eye(4) * ((a + 2.0 * c * np.eye(4)) @ n[..., None]) - a * gram.conj())
+    g[..., :2, :] = u[..., :2, :] @ k
     rows = [u[..., r, :] for r in range(4)]
-    top = entanglement._minors(rows[0], rows[1])
-    bot = entanglement._minors(rows[2], rows[3])
+    top, bot = out.top, out.bot
     for lo, hi, m in ((0, 1, e * np.abs(bot) ** 2 * top), (2, 3, e * np.abs(top) ** 2 * bot)):
         # d|m_ij|^2 for the minor m_ij = U_li U_hj - U_lj U_hi of rows (lo, hi)
         g[..., lo : hi + 1, :] += np.stack([-rows[hi].conj(), rows[lo].conj()], axis=-2) @ _pairs(m, -m)
@@ -321,10 +316,11 @@ def _pullback(w, v, u, p, det, a, b, c=0.0) -> np.ndarray:
 
 
 def _evaluate(objective, u: np.ndarray, target):
-    """(value, gap, p, det, s) of a matrix batch under `objective` at per-row `target`."""
-    p, det, s = _outcomes(u)
-    value, gap = objective._score(u, p, s, target)
-    return value, gap, p, det, s
+    """(value, gap, out) of a matrix batch under `objective` at per-row
+    `target`, with out the batch's kernel output."""
+    out = fusion._outcomes(fusion._rows(u))
+    value, gap = objective._score(out, target)
+    return value, gap, out
 
 
 def _rank(value, gap, feasible) -> int:
@@ -362,10 +358,10 @@ def _run(objective, theta, target, phases, iterations: int, step: float):
             if phases[k].reset:
                 vel[:] = 0.0
         w, v, u = matrices._exp_eigh(theta)
-        value, gap, p, det, s = _evaluate(objective, u, target)
+        value, gap, out = _evaluate(objective, u, target)
         trace[it] = value
         track(theta, value, gap)
-        grad = _pullback(w, v, u, p, det, *phases[k].weights(s, gap, target))
+        grad = _pullback(w, v, u, out, *phases[k].weights(out.s, gap, target))
         vel = MOMENTUM * vel - step * grad
         theta = theta + vel
     if isinstance(objective, ThresholdProbability):
@@ -384,7 +380,7 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
     # one candidate pool, scored at every target
     rng = np.random.default_rng(cfg.master_seed)
     cand = matrices.random_params(rng, size=(R, cfg.init_samples))
-    value0, gap0, *_ = _evaluate(obj, matrices.from_params(cand.reshape(-1, 16)), targets[:, None])
+    value0, gap0, _ = _evaluate(obj, matrices.from_params(cand.reshape(-1, 16)), targets[:, None])
     score0 = (value0 - L1_BETA * np.abs(gap0)).reshape(T, R, -1)
     theta = cand[np.arange(R), np.argmax(score0, axis=-1)].reshape(T * R, 16)
 
@@ -396,7 +392,7 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
     if T > 1:
         # hand-off round: every target descends again from the round-1
         # winners of its two sorted neighbours, in the last phase
-        value1, gap1, *_ = _evaluate(obj, matrices.from_params(finals), target)
+        value1, gap1, _ = _evaluate(obj, matrices.from_params(finals), target)
         value1, gap1 = value1.reshape(T, R), gap1.reshape(T, R)
         best = [_rank(value1[t], gap1[t], np.abs(gap1[t]) <= FEASIBLE_BAND) for t in range(T)]
         winners = finals.reshape(T, R, 16)[np.arange(T), best]
@@ -413,10 +409,10 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
     mats = np.stack([matrices.builtin(nm) for nm in names])
     points = np.concatenate([finals, handed])
     u = np.concatenate([mats, matrices.from_params(points)])
-    value, gap, p, *_ = _evaluate(obj, u, targets[:, None])
+    value, gap, out = _evaluate(obj, u, targets[:, None])
     value, gap = np.broadcast_arrays(value, gap)
     feasible = np.abs(gap) <= FEASIBLE_BAND
-    p_total = np.sum(p, axis=-1)
+    p_total = np.sum(out.p, axis=0)
 
     results = []
     for t, objective in enumerate(objectives):
@@ -530,20 +526,23 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
     if mode == "expectation":
         if s_targets is not None:
             raise ValueError("s_targets is a threshold-mode argument")
+        # scored at target 0, the gap is p_total itself: rows <S>, p_total
+        objective, target, scores = ExpectationEntropy, 0.0, np.empty((2, n))
     elif mode == "threshold":
         if s_targets is None:
             s_targets = [k / 10 for k in range(11)]
         # the objective's own check rejects NaN and targets outside [0, 1]
         s_targets = [ThresholdProbability(float(s)).s_target_bits for s in s_targets]
+        objective, target = ThresholdProbability, np.array(s_targets)[:, None]
+        scores = np.empty((len(s_targets), n))
     else:
         raise ValueError(f"mode must be expectation or threshold, got {mode!r}")
-    u = matrices.haar_sample(np.random.default_rng(seed), size=n)
-    blocks = [u[k : k + matrices._BLOCK] for k in range(0, n, matrices._BLOCK)]
+    for block, q in matrices._haar_blocks(np.random.default_rng(seed), n):
+        # q is columns first and batch last, so its rows are a view
+        value, gap = objective._score(fusion._outcomes(q.transpose(1, 0, 2)), target)
+        scores[:, block] = (value, gap) if mode == "expectation" else value
     if mode == "expectation":
-        # scored at target 0, the gap is p_total itself
-        s_exp, p_tot = np.concatenate(
-            [_evaluate(ExpectationEntropy, ub, 0.0)[:2] for ub in blocks], axis=-1
-        )
+        s_exp, p_tot = scores
         rows = list(zip(p_tot.tolist(), s_exp.tolist()))
         summary = {
             "n": n,
@@ -553,13 +552,9 @@ def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None)
             "p_total_std": float(np.std(p_tot)),
         }
         return rows, summary
-    targets = np.array(s_targets)[:, None]
-    P = np.concatenate(
-        [_evaluate(ThresholdProbability, ub, targets)[0] for ub in blocks], axis=-1
-    )
     rows = []
     summary = {"n": n, "targets": {}}
-    for s, P_s in zip(s_targets, P):
+    for s, P_s in zip(s_targets, scores):
         rows.extend(zip(itertools.repeat(s), P_s.tolist()))
         summary["targets"][s] = {
             "P_mean": float(np.mean(P_s)),

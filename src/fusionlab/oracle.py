@@ -82,6 +82,11 @@ class ZeroOverlap(FusionlabError):
 # graphs
 
 
+def _is_int(x) -> bool:
+    """Python or numpy integer; bools are not vertex counts or labels."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Undirected graph with per-vertex sign flags and at most one phase edge.
@@ -97,20 +102,21 @@ class GraphSpec:
     special_edge: tuple[int, int, float] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise MalformedInputError("graph needs at least one vertex")
+        if not _is_int(self.n) or self.n < 1:
+            raise MalformedInputError(f"graph needs an integer n >= 1, got {self.n!r}")
         flags = tuple(self.k_flags) or (0,) * self.n
         if len(flags) != self.n:
             raise MalformedInputError(f"expected {self.n} flag bits, got {len(flags)}")
         if any(k not in (0, 1) for k in flags):
             raise MalformedInputError("flag bits must be 0 or 1")
         object.__setattr__(self, "k_flags", tuple(int(k) for k in flags))
+        vertex = lambda x: _is_int(x) and 0 <= x < self.n
         for (u, v) in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
+            if not (vertex(u) and vertex(v)) or u == v:
                 raise MalformedInputError(f"bad edge ({u}, {v}) for n={self.n}")
         if self.special_edge is not None:
             u, v, chi = self.special_edge
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v or not np.isfinite(chi):
+            if not (vertex(u) and vertex(v)) or u == v or not np.isfinite(chi):
                 raise MalformedInputError(f"bad special edge {self.special_edge}")
 
     def neighbors(self, v: int) -> tuple[int, ...]:

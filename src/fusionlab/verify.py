@@ -376,7 +376,7 @@ def _suite_threshold_bounds(rng, trials, fault):
     for _ in range(min(max(trials // 10, 5), 50)):
         blocks = []
         for _ in range(4):  # Haar-random 2x2 unitaries
-            blocks.append(matrices._haar_qr(rng.normal(size=(2, 2)), rng.normal(size=(2, 2))))
+            blocks.append(matrices._haar_qr(rng.normal(size=(2, 2)), rng.normal(size=(2, 2))).T)
         left = np.zeros((4, 4), dtype=complex)
         right = np.zeros((4, 4), dtype=complex)
         left[:2, :2], left[2:, 2:] = blocks[0], blocks[1]

@@ -158,6 +158,19 @@ def test_sample_threshold_mode(tmp_path, capsys):
     assert {r["s_target"] for r in rows} == {"0.5", "1"}
 
 
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    """The parser is built once per process; a repeated option's list from
+    one call must not carry into the next."""
+    out = tmp_path / "t.csv"
+    base = ["sample", "--n", "3", "--mode", "threshold", "--out", str(out)]
+    assert main(base + ["--s-target", "0.5", "--s-target", "1.0"]) == 0
+    assert {r["s_target"] for r in _read_csv(out)} == {"0.5", "1"}
+    assert main(base + ["--s-target", "0.25"]) == 0
+    assert {r["s_target"] for r in _read_csv(out)} == {"0.25"}
+    assert main(base) == 0  # the default targets, not the last call's
+    assert len({r["s_target"] for r in _read_csv(out)}) == 11
+
+
 def test_sample_rejects_bad_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--n", "0"])

@@ -87,7 +87,8 @@ def test_haar_qr_matches_householder(m):
     rng = np.random.default_rng(m)
     re, im = rng.standard_normal((2, 3000, m, m))
     q = matrices._haar_qr(re, im)
-    assert q.shape == (3000, m, m)
+    assert q.shape == (m, m, 3000)  # columns first, batch last
+    q = q.T
     assert np.abs(q - _householder_q(re + 1j * im)).max() <= 1e-10
     assert np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(m)).max() <= 1e-14
 
@@ -106,6 +107,27 @@ def test_haar_sample_blocks_match_householder(size):
     if size != 0:
         assert np.abs(u - _householder_q(z)).max() <= 1e-10
         assert np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max() <= 1e-14
+
+
+def test_haar_sample_redraw_follows_the_whole_failed_draw(monkeypatch):
+    """A degenerate second block redraws from where the whole first draw,
+    imaginary parts of the later blocks included, ends in the stream."""
+    real_qr, calls = matrices._haar_qr, []
+
+    def second_block_degenerate(re, im):
+        calls.append(len(re))
+        if len(calls) == 2:
+            raise matrices.DegenerateSampleError("forced")
+        return real_qr(re, im)
+
+    n = 2 * B + 5
+    monkeypatch.setattr(matrices, "_haar_qr", second_block_degenerate)
+    u = matrices.haar_sample(np.random.default_rng(8), size=n)
+    assert calls == [B, B, B, B, 5]
+    rng = np.random.default_rng(8)
+    rng.standard_normal((2, n, 4, 4))  # the failed draw
+    re, im = rng.standard_normal((2, n, 4, 4))
+    np.testing.assert_array_equal(u, real_qr(re, im).T)
 
 
 def test_haar_qr_rejects_rank_deficient_input():

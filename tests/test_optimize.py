@@ -249,10 +249,10 @@ def test_sweep_exchange_ranks_every_winner(kind, targets):
     assert [r["target"] for r in rows] == targets
     score = {"expectation": ExpectationEntropy, "threshold": ThresholdProbability}[kind]._score
     mats = np.stack([r["result"].best_matrix for r in rows])
-    p, _, s = opt._outcomes(mats)
+    out = fusion._outcomes(fusion._rows(mats))
     shared = 0
     for r in rows:
-        value, gap = np.broadcast_arrays(*score(mats, p, s, r["target"]))
+        value, gap = np.broadcast_arrays(*score(out, r["target"]))
         feasible = np.abs(gap) <= opt.FEASIBLE_BAND
         shared += np.sum(feasible) > 1
         if feasible.any():
@@ -271,13 +271,12 @@ def test_mixed_target_scoring_matches_single_targets(objective):
     u = np.concatenate(
         [matrices.haar_sample(rng, size=6), [matrices.builtin(nm) for nm in ("pbs2", "blockpair")]]
     )
-    p, _, s = opt._outcomes(u)
     targets = np.array([0.5, 0.0, 1.0, 0.7, 0.55, 0.9, 0.0, 0.5])
     if objective is ExpectationEntropy:
         targets = 0.5 + targets / 2
-    value, gap = objective._score(u, p, s, targets)
+    value, gap = objective._score(fusion._outcomes(fusion._rows(u)), targets)
     for k, t in enumerate(targets):
-        v_k, g_k = objective._score(u[k : k + 1], p[k : k + 1], s[k : k + 1], t)
+        v_k, g_k = objective._score(fusion._outcomes(fusion._rows(u[k : k + 1])), t)
         assert value[k] == v_k[0] and gap[k] == g_k[0]
 
 
@@ -309,7 +308,7 @@ def test_random_scatter_validation(monkeypatch):
         raise AssertionError("sampled before validating the arguments")
 
     # every argument is checked before any matrix is drawn
-    monkeypatch.setattr(opt.matrices, "haar_sample", no_sampling)
+    monkeypatch.setattr(opt.matrices, "_haar_blocks", no_sampling)
     for n in (0, -1, 2.5, True, "4"):
         with pytest.raises(ValueError):
             random_scatter(n, seed=1)
@@ -331,8 +330,10 @@ def test_random_scatter_blocks_match_whole_batch(mode):
     if mode == "expectation":
         rows, summary = random_scatter(n, seed)
         got = np.array(rows)
-        want = np.stack([fusion.total_relevant_probability(u), expectation_entropy(u)], axis=-1)
-        assert summary["n"] == n and summary["S_exp_mean"] == pytest.approx(np.mean(want[:, 1]), abs=1e-14)
+        # the scatter's p_total is the sum of p_ij, not the closed form (1 + sum n^2) / 2
+        p_total = np.sum(fusion.relevant_probabilities(u), axis=-1)
+        want = np.stack([p_total, expectation_entropy(u)], axis=-1)
+        assert summary["n"] == n and summary["S_exp_mean"] == np.mean(want[:, 1])
     else:
         rows, summary = random_scatter(n, seed, mode="threshold", s_targets=targets)
         got = np.array(rows).reshape(len(targets), n, 2)
@@ -341,7 +342,7 @@ def test_random_scatter_blocks_match_whole_batch(mode):
         )
         assert list(summary["targets"]) == targets
     assert all(type(x) is float for x in rows[0]) and len(rows) == want.size // 2
-    assert np.abs(got - want).max() <= 1e-14
+    np.testing.assert_array_equal(got, want)
 
 
 def test_random_scatter_matches_direct_evaluation():
@@ -401,8 +402,8 @@ def _gradient_points(group):
 
 def _smooth_threshold(theta, s_target, tau):
     u = matrices.from_params(theta)
-    p, _, s = opt._outcomes(u)
-    out = np.sum(p * opt._logistic((s - s_target) / tau), axis=-1)
+    k = fusion._outcomes(fusion._rows(u))
+    out = np.sum(k.p * opt._logistic((k.s - s_target) / tau), axis=0)
     if s_target <= 0.0:
         out = out + opt._logistic(-s_target / tau) * np.sum(fusion.diag_probabilities(u), axis=-1)
     return out
@@ -415,10 +416,10 @@ def _assert_covered(masks, group):
 
 
 def _grad_at(theta, weights):
-    """The engine's pull-back at theta with weights(s) -> (a, b[, c])."""
+    """The engine's pull-back at theta with batch-last weights(s) -> (a, b[, c])."""
     w, v, u = matrices._exp_eigh(theta)
-    p, det, s = opt._outcomes(u)
-    return opt._pullback(w, v, u, p, det, *weights(s))
+    out = fusion._outcomes(fusion._rows(u))
+    return opt._pullback(w, v, u, out, *weights(out.s))
 
 
 @pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
@@ -460,17 +461,17 @@ def test_outcome_derivatives_near_builtins(name):
     outcomes) and blockpair (det -> 0 with p_total -> 1), each from one-hot
     weights: a = e_j gives dp_j, b = e_j gives p_j dS_j."""
     theta = _gradient_points(name)
-    p = opt._outcomes(matrices.from_params(theta))[0]
+    p = fusion.relevant_probabilities(matrices.from_params(theta))
     live = p > 0.1  # the outcomes that fire at the builtin itself
     masks = []
     for j in range(6):
-        e_j = np.eye(6)[j]
+        e_j = np.eye(6)[:, j, None]  # batch last: one column per outcome
 
         def p_j(x):
-            return opt._outcomes(matrices.from_params(x))[0][..., j]
+            return fusion.relevant_probabilities(matrices.from_params(x))[..., j]
 
         def s_j(x):
-            return opt._outcomes(matrices.from_params(x))[2][..., j]
+            return entanglement.entropies_from_matrix(matrices.from_params(x))[..., j]
 
         ok_p = _assert_matches_fd(_grad_at(theta, lambda s: (e_j, 0.0)), p_j, theta)
         pds_j = _grad_at(theta, lambda s: (0.0, e_j))
@@ -489,10 +490,10 @@ def test_gradients_finite_at_builtins():
     objectives += [ThresholdProbability(s_target_bits=s) for s in (0.0, 0.5, 1.0)]
     for obj in objectives:
         target = np.full(len(theta), obj._target)
-        _, gap, p, det, s = opt._evaluate(obj, u, target)
-        assert set(p[matrices.BUILTIN_NAMES.index("identity")]) == {0.0, 0.25}
+        _, gap, out = opt._evaluate(obj, u, target)
+        assert set(out.p[:, matrices.BUILTIN_NAMES.index("identity")]) == {0.0, 0.25}
         for phase in obj._phases(30):
-            g = opt._pullback(w, v, u, p, det, *phase.weights(s, gap, target))
+            g = opt._pullback(w, v, u, out, *phase.weights(out.s, gap, target))
             assert g.shape == (len(theta), 16)
             assert np.all(np.isfinite(g))
 
@@ -503,12 +504,12 @@ def test_pullback_batched_matches_single():
     rng = np.random.default_rng(11)
     builtins = [matrices.params_from_matrix(matrices.builtin(nm)) for nm in ("identity", "pbs2")]
     theta = np.concatenate([matrices.random_params(rng, size=5), np.stack(builtins)])
-    a, b = rng.normal(size=(2, 7, 6))
+    a, b = rng.normal(size=(2, 6, 7))
 
     def grad(rows):
         w, v, u = matrices._exp_eigh(theta[rows])
-        p, det, _ = opt._outcomes(u)
-        return opt._pullback(w, v, u, p, det, a[rows], b[rows], 0.3)
+        out = fusion._outcomes(fusion._rows(u))
+        return opt._pullback(w, v, u, out, a[:, rows], b[:, rows], 0.3)
 
     batched = grad(slice(None))
     single = np.concatenate([grad(slice(k, k + 1)) for k in range(7)])

@@ -94,6 +94,33 @@ def test_graph_rejects_non_finite_chi(chi):
         parse_graph_spec(f"3\n0 1\nspecial 0 2 {chi}\n")
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+def test_graph_rejects_non_integer_vertex_count(n):
+    """graph(2.5, ...) once ended in a bare TypeError."""
+    with pytest.raises(MalformedInputError, match="integer n >= 1"):
+        graph(n, [(0, 1)])
+
+
+@pytest.mark.parametrize("u", [0.5, 0.0, True])
+def test_graph_rejects_non_integer_edge_vertex(u):
+    """graph(3, [(0.5, 2)]) was once accepted, and building its state raised
+    a bare TypeError."""
+    with pytest.raises(MalformedInputError, match="bad edge"):
+        graph(3, [(u, 2)])
+
+
+@pytest.mark.parametrize("u", [0.5, 0.0, True])
+def test_graph_rejects_non_integer_special_vertex(u):
+    with pytest.raises(MalformedInputError, match="bad special edge"):
+        graph(3, [], special=(u, 2, 1.0))
+
+
+def test_graph_accepts_numpy_integers():
+    g = graph(np.int64(3), [(np.int32(0), np.int64(1))], special=(np.int16(1), np.uint8(2), 0.4))
+    assert g.neighbors(1) == (0, 2)
+    assert build_graph_state(g).shape == (2, 2, 2)
+
+
 def test_graph_parse_checks_size_first(monkeypatch):
     """A header above MAX_QUBITS is refused before a graph of that size is built."""
     monkeypatch.setattr(oracle, "graph", None)
