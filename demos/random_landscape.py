@@ -16,6 +16,8 @@ Usage:
 
 import argparse
 
+import numpy as np
+
 from fusionlab import optimize, reports
 
 
@@ -36,10 +38,11 @@ def main():
               f"std {summary['S_exp_std']:.4f}")
         print(f"  p_total mean {summary['p_total_mean']:.4f}  "
               f"std {summary['p_total_std']:.4f}")
-        best = max(rows, key=lambda r: r[1])
-        print(f"  most entangled sample: <S> = {best[1]:.4f} bits "
-              f"at p_total = {best[0]:.4f}")
-        slack = min(1.0 - p - s for p, s in rows)
+        p, s = rows.T
+        best = np.argmax(s)
+        print(f"  most entangled sample: <S> = {s[best]:.4f} bits "
+              f"at p_total = {p[best]:.4f}")
+        slack = np.min(1.0 - p - s)
         print(f"  min frontier slack 1 - p - <S>: {slack:.4f} "
               f"(never negative)")
     else:

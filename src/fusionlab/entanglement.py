@@ -92,11 +92,14 @@ def determinant(outcome: Outcome) -> float:
 def determinants_from_matrix(matrix) -> np.ndarray:
     """All six relevant-outcome determinants via the factored identity
 
-        A D - B C = (U_1i U_2j - U_1j U_2i)(U_3j U_4i - U_3i U_4j) / (4 p_ij)
+        |A D - B C| = |U_1i U_2j - U_1j U_2i| |U_1k U_2l - U_1l U_2k| / (4 p_ij)
 
-    Shape (..., 6) in RELEVANT_PAIRS order; zero-probability outcomes give 0.
-    This is an algebraically independent route from the coefficient-based
-    `determinant` and serves as a cross-check of both.
+    with {k, l} the complement of {i, j}: for a unitary U the minor of rows
+    (3, 4) on (i, j) has the modulus of that of rows (1, 2) on (k, l), by
+    Jacobi's complementary-minor identity (Horn & Johnson, Matrix Analysis,
+    0.8.4).  Shape (..., 6) in RELEVANT_PAIRS order; zero-probability
+    outcomes give 0.  This is an algebraically independent route from the
+    coefficient-based `determinant` and serves as a cross-check of both.
     """
     return _batch_first(_outcomes(_rows(matrix)).det)
 

@@ -26,10 +26,14 @@ from the per-channel invariants
 as  p_ij = 1/8 - n_i n_j / 2 - |U_1i conj(U_1j) + U_2i conj(U_2j)|^2 / 2
 and p_ii = m_i (1 - m_i) / 2.  Channel indices in the public API are 1-based.
 
+Every relevant outcome depends on rows 1-2 of U alone: rows 3-4 enter p_ij
+not at all, and det_ij only through a minor equal to one of rows 1-2
+(`entanglement.determinants_from_matrix`).
+
 The public kernels take stacked matrices of shape (..., 4, 4) and return
 batched arrays.  They wrap one private kernel, `_outcomes`, which works
-batch last: it reads rows r0..r3 of U from a (4, 4, ...) array (`_rows`)
-and returns (4, ...) or (6, ...) arrays, one row per channel or pair.  One
+batch last: it reads rows 1-2 of U from a (2, 4, ...) array (`_rows`) and
+returns (4, ...) or (6, ...) arrays, one row per channel or pair.  One
 matrix's outcomes, with their normalized coefficients, come from
 `outcome_table`; `OutcomeTable.get(i, j)` picks one.
 """
@@ -131,15 +135,15 @@ def _check_and_clamp(p: np.ndarray, upper: float) -> np.ndarray:
 
 
 # the kernel's output, batch last: m and n (4, ...); the overlaps o_ij =
-# U_1i conj(U_1j) + U_2i conj(U_2j), p, the minors of rows (1, 2) and (3, 4),
-# det and S in bits (6, ...); the last four None if it stops after p
-_Outcomes = namedtuple("_Outcomes", "m n overlap p top bot det s")
+# U_1i conj(U_1j) + U_2i conj(U_2j), p, the minors of rows (1, 2), det and
+# S in bits (6, ...); the last three None if it stops after p
+_Outcomes = namedtuple("_Outcomes", "m n overlap p top det s")
 
 
 def _rows(matrix) -> np.ndarray:
-    """A (..., 4, 4) matrix batch rows first and batch last: contiguous
-    (4, 4, ...) with [r, i] the batch of U_ri."""
-    u = np.asarray(matrix, dtype=complex)
+    """Rows 1-2 of a (..., 4, 4) matrix batch, batch last: contiguous
+    (2, 4, ...) with [r, i] the batch of U_ri.  They fix every outcome."""
+    u = np.asarray(matrix, dtype=complex)[..., :2, :]
     return np.ascontiguousarray(u.transpose(u.ndim - 2, u.ndim - 1, *range(u.ndim - 2)))
 
 
@@ -150,24 +154,23 @@ def _batch_first(x: np.ndarray) -> np.ndarray:
 
 def _outcomes(r: np.ndarray, entropies: bool = True) -> _Outcomes:
     """Every relevant-outcome quantity (`_Outcomes`) of the matrices with
-    rows r[0..3], r of shape (4, 4, ...) from `_rows`.  det comes from the
-    factored identity of `entanglement.determinants_from_matrix`, the second
-    minor of the opposite sign as it enters squared."""
-    r0, r1, r2, r3 = r
+    rows 1-2 r[0], r[1], r of shape (2, 4, ...) from `_rows`.  det comes
+    from `entanglement.determinants_from_matrix`'s identity; in
+    RELEVANT_PAIRS order pair 5 - k is the complement of pair k."""
+    r0, r1 = r
     m = np.abs(r0) ** 2 + np.abs(r1) ** 2
     n = 0.5 - m
     overlap = r0[_PI] * r0[_PJ].conj() + r1[_PI] * r1[_PJ].conj()
     p = _check_and_clamp(0.125 - 0.5 * n[_PI] * n[_PJ] - 0.5 * np.abs(overlap) ** 2, 0.25)
     if not entropies:
-        return _Outcomes(m, n, overlap, p, None, None, None, None)
+        return _Outcomes(m, n, overlap, p, None, None, None)
     from . import entanglement  # which builds on this module
     top = r0[_PI] * r1[_PJ] - r0[_PJ] * r1[_PI]
-    bot = r2[_PI] * r3[_PJ] - r2[_PJ] * r3[_PI]
-    num = np.abs(top * bot) ** 2
+    top2 = top.real**2 + top.imag**2
     with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.where(p > 0.0, num / np.maximum(4.0 * p, 1e-300) ** 2, 0.0)
+        det = np.where(p > 0.0, top2 * top2[::-1] / np.maximum(4.0 * p, 1e-300) ** 2, 0.0)
     det = np.clip(det, 0.0, entanglement.DET_MAX)
-    return _Outcomes(m, n, overlap, p, top, bot, det, entanglement.entropy_from_det(det))
+    return _Outcomes(m, n, overlap, p, top, det, entanglement.entropy_from_det(det))
 
 
 def _diag(m: np.ndarray) -> np.ndarray:

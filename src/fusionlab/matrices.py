@@ -7,7 +7,7 @@ module owns:
 
 * validation (unitarity within tolerance, shape and finiteness checks),
 * named builtin matrices resolvable by string,
-* Haar-distributed random sampling (phase-fixed QR by blocked Gram-Schmidt),
+* Haar-distributed random sampling (phase-fixed LQ by blocked Gram-Schmidt),
 * a smooth, surjective 16-parameter map  params -> exp(i H)  with H Hermitian,
 * diagonal phase dressing,
 * JSON (de)serialization of matrices.
@@ -169,51 +169,49 @@ def _count(n, name: str = "size") -> int:
     raise MalformedInputError(f"{name} must be a non-negative integer, got {n!r}")
 
 
-def _haar_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Q of the QR decomposition z = Q R with diag(R) real and positive, for
-    z = re + i im of shape (B, m, m) or (m, m), columns first and batch
-    last: q[j, i, b] = Q_b[i, j], so q.T is Q.
-
-    Classical Gram-Schmidt, applied twice per column, which keeps Q unitary
-    to machine precision (Giraud, Langou & Rozlozník, Comput. Math. Appl.
-    50, 1069, 2005), vectorised over the batch.  Its R_jj is the norm of
-    column j after the projections, real and positive, so Q is the
-    phase-fixed Q of Mezzadri (Notices AMS 54, 592, 2007) and matches the
-    Householder Q of `np.linalg.qr` after that phase fix up to rounding.
-    """
-    z = np.empty(re.T.shape, dtype=complex)  # column j of the batch is z[j]
-    z.real, z.imag = re.T, im.T
-    q = np.empty_like(z)
-    for j in range(len(z)):
-        v = z[j]
-        if j:  # project out q_0 .. q_{j-1}, twice
+def _gram_schmidt(re: np.ndarray, im: np.ndarray, done: np.ndarray | None = None) -> np.ndarray:
+    """q, (j + k, m, B) rows first and batch last: the orthonormal rows
+    `done` (j, m, B), then the rows of z = re + i im (B, k, m) made
+    orthonormal by classical Gram-Schmidt, applied twice per row, which
+    keeps them so to machine precision (Giraud, Langou & Rozlozník, Comput.
+    Math. Appl. 50, 1069, 2005).  For a square z this is z = L Q with
+    diag(L) > 0, the row norms after the projections, so Q is the
+    phase-fixed Q of Mezzadri (Notices AMS 54, 592, 2007), the transposed
+    Householder Q of z^T up to rounding."""
+    z = np.empty(re.shape[1:] + re.shape[:1], dtype=complex)
+    z.real, z.imag = re.transpose(1, 2, 0), im.transpose(1, 2, 0)
+    q = z if done is None else np.concatenate([done, z])
+    for j in range(len(q) - len(z), len(q)):
+        v = q[j]
+        if j:  # project out rows 0 .. j-1, twice; np.add.reduce beats .sum at batch 1
             q_done, q_conj = q[:j], q[:j].conj()
             for _ in range(2):
-                v = v - (q_done * (q_conj * v).sum(axis=1)[:, None]).sum(axis=0)
-        norm = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+                v = v - np.add.reduce(q_done * np.add.reduce(q_conj * v, 1, keepdims=True))
+        norm = np.sqrt(np.add.reduce((v * v.conj()).real))
         if norm.min() < 1e-12:
-            raise DegenerateSampleError("Gram-Schmidt column norm numerically zero")
-        q[j] = v * (1.0 / norm)  # what numpy's complex division by a real computes
+            raise DegenerateSampleError("Gram-Schmidt row norm numerically zero")
+        np.multiply(v, 1.0 / norm, out=q[j])  # what numpy's complex division by a real computes
     return q
 
 
-def _haar_blocks(rng, n: int):
-    """Yield (block, q) with q = `_haar_qr` of n Ginibre draws, `_BLOCK` at a
-    time.  The stream holds all real parts, then all imaginary parts, which
-    are drawn block by block.  A degenerate block redraws all n (five draws
-    at most) and yields again from the first block: consumers write each q
-    into its block's slice of a preallocated array."""
+def _haar_rows(rng, n: int, done: np.ndarray | None = None):
+    """Yield (block, q): two more rows of n Haar unitaries, `_BLOCK` at a
+    time, q = `_gram_schmidt` of two Ginibre rows per matrix after the rows
+    `done` (j, 4, n), if any.  The stream holds all n real parts, shape
+    (n, 2, 4), then the imaginary parts, drawn block by block.  A
+    degenerate block redraws all n (five draws at most) and yields again
+    from the first block: consumers write each q into its block's slice."""
     for _ in range(5):
-        re, drawn = rng.standard_normal((n, 4, 4)), 0
+        re, drawn = rng.standard_normal((n, 2, 4)), 0
         try:
             for k in range(0, n, _BLOCK):
                 block = slice(k, k + _BLOCK)
                 im = rng.standard_normal(re[block].shape)
                 drawn += len(im)
-                yield block, _haar_qr(re[block], im)
+                yield block, _gram_schmidt(re[block], im, None if done is None else done[..., block])
             return
         except DegenerateSampleError:
-            rng.standard_normal((n - drawn, 4, 4))  # the rest of this draw
+            rng.standard_normal((n - drawn, 2, 4))  # the rest of this draw
     raise DegenerateSampleError("repeated degenerate Ginibre draws")
 
 
@@ -222,15 +220,20 @@ def haar_sample(rng, size: int | None = None) -> np.ndarray:
 
     `rng` is a numpy Generator or a seed for one.  With `size=None` a single
     (4, 4) matrix is returned, otherwise an array of shape (size, 4, 4) for
-    a non-negative integer `size`.  Each matrix is the phase-fixed Q of a
-    complex Ginibre matrix, which is exactly Haar (Mezzadri 2007; see
-    `_haar_qr`).  The draw takes the real parts of all matrices, then their
-    imaginary parts.  Identical seeds give identical results.
+    a non-negative integer `size`.  Each matrix is the phase-fixed Q of
+    G = L Q for a complex Ginibre G, exactly Haar (`_gram_schmidt`), drawn
+    in two stages (`_haar_rows`): rows 1-2 of every matrix, the rows
+    `optimize.random_scatter` scores at the same seed, then rows 3-4.  The
+    stream holds rows 1-2's real then imaginary parts, then rows 3-4's.
+    Identical seeds give identical results.
     """
     n = 1 if size is None else _count(size)
+    rng = np.random.default_rng(rng)
     out = np.empty((n, 4, 4), dtype=complex)
-    for block, q in _haar_blocks(np.random.default_rng(rng), n):
-        out[block] = q.T
+    for block, q in _haar_rows(rng, n):
+        out[block, :2] = q.transpose(2, 0, 1)
+    for block, q in _haar_rows(rng, n, out[:, :2].transpose(1, 2, 0)):
+        out[block, 2:] = q[2:].transpose(2, 0, 1)
     return out[0] if size is None else out
 
 

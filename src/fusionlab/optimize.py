@@ -39,7 +39,6 @@ through matrices with determinant 1/4 - O(1e-10) whose entropy rounds below
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -182,6 +181,8 @@ class OptimizerConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "init_samples", "iterations", "master_seed"):
+            matrices._count(getattr(self, name), name)
         if min(self.restarts, self.init_samples, self.iterations) < 1:
             raise ValueError("restarts, init_samples and iterations must be >= 1")
         if not 0.0 < self.step < math.inf:
@@ -274,9 +275,11 @@ def _pullback(w, v, u, out, a, b, c=0.0) -> np.ndarray:
           o_ij = U_1i conj(U_1j) + U_2i conj(U_2j), so rows 1, 2 of G are
           U K with K_ii = sum_j a_ij n_j and K_ij = -a_ij conj(o_ij);
       sum_i p_ii = 1/2 - sum_i n_i^2 / 2 adds 2 c n_i to K_ii;
-      det_ij = |top_ij bot_ij|^2 / (4 p_ij)^2 with top, bot the minors of
-          rows (1, 2) and (3, 4), so p dS = S'(det) (d|top bot|^2 / (16 p)
-          - 2 det dp), zero where p = 0, with S' = `entanglement._entropy_slope`;
+      det_ij = |top_ij top_kl|^2 / (4 p_ij)^2 with top the minors of rows
+          (1, 2) and kl the pair complementary to ij (`fusion._outcomes`),
+          so p dS = S'(det) (d|top_ij top_kl|^2 / (16 p) - 2 det dp), zero
+          where p = 0, with S' = `entanglement._entropy_slope`; rows 3, 4
+          of G are zero;
 
     and pulled back through U = exp(i H), H = V diag(w) V^H, once.  By
     Daleckii-Krein, dU = V (Phi o V^H E V) V^H along a Hermitian direction E,
@@ -292,22 +295,18 @@ def _pullback(w, v, u, out, a, b, c=0.0) -> np.ndarray:
     slope = b * entanglement._entropy_slope(out.det)
     a = a - 2.0 * slope * out.det
     live = out.p > 0.0
-    e = np.where(live, slope / (8.0 * np.where(live, out.p, 1.0)), 0.0)  # 2 x weight of |top bot|^2
+    e = np.where(live, slope / (8.0 * np.where(live, out.p, 1.0)), 0.0)
     n = out.n.T[..., None]
     k = np.eye(4) * ((_pairs(a) + 2.0 * np.asarray(c)[..., None, None] * np.eye(4)) @ n)
     k -= _pairs(a * out.overlap.conj(), a * out.overlap)
-    g = np.zeros_like(u)
-    g[..., :2, :] = u[..., :2, :] @ k
-    rows = [u[..., r, :] for r in range(4)]
-    top, bot = out.top, out.bot
-    for lo, hi, m in ((0, 1, e * np.abs(bot) ** 2 * top), (2, 3, e * np.abs(top) ** 2 * bot)):
-        # d|m_ij|^2 for the minor m_ij = U_li U_hj - U_lj U_hi of rows (lo, hi)
-        g[..., lo : hi + 1, :] += np.stack([-rows[hi].conj(), rows[lo].conj()], axis=-2) @ _pairs(m, -m)
+    # e is 2 x the weight of d|top_ij top_kl|^2, and |top_ij|^2 enters det_ij and det_kl
+    m = (e + e[::-1]) * np.abs(out.top[::-1]) ** 2 * out.top
+    g = u[..., :2, :] @ k + np.stack([-u[..., 1, :].conj(), u[..., 0, :].conj()], axis=-2) @ _pairs(m, -m)
 
     half = 0.5 * (w[..., :, None] - w[..., None, :])
     phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(half / np.pi)
     vh = v.conj().swapaxes(-1, -2)
-    z = v @ (phi.conj() * (vh @ g @ v)) @ vh
+    z = v @ (phi.conj() * (vh[..., :2] @ g @ v)) @ vh
     return matrices._params_from_hermitian(z + np.tril(z, -1).conj().swapaxes(-1, -2))
 
 
@@ -513,52 +512,46 @@ def sweep(
 def random_scatter(n: int, seed: int, mode: str = "expectation", s_targets=None):
     """Haar-sample n matrices and tabulate the objective landscape.
 
-    Returns (rows, summary): expectation rows are (p_total, S_exp); threshold
-    rows are (s_target, P) for every sample and target.  The summary carries
-    means and standard deviations for plotting reference bands.  `s_targets`
-    (default 0, 0.1, ..., 1) is for threshold mode only.  The samples are
-    scored in blocks of `matrices._BLOCK`, so the kernels' temporaries stay
-    in cache.
+    Returns (rows, summary), rows one float64 array: (n, 2) of (p_total,
+    S_exp), or in threshold mode (T n, 2) of (s_target, P), target by
+    target.  The summary carries means and standard deviations for plotting
+    reference bands.  `s_targets` (default 0, 0.1, ..., 1) is for threshold
+    mode only.  Only rows 1-2 of each matrix, which fix every outcome, are
+    drawn (`matrices.haar_sample`'s first stage at the same seed), and
+    scored in blocks of `matrices._BLOCK`, which keeps temporaries in cache.
     """
     n = matrices._count(n, "n")
+    seed = matrices._count(seed, "seed")
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode == "expectation":
         if s_targets is not None:
             raise ValueError("s_targets is a threshold-mode argument")
-        # scored at target 0, the gap is p_total itself: rows <S>, p_total
-        objective, target, scores = ExpectationEntropy, 0.0, np.empty((2, n))
+        objective, target, rows = ExpectationEntropy, 0.0, np.empty((n, 2))
     elif mode == "threshold":
         if s_targets is None:
             s_targets = [k / 10 for k in range(11)]
         # the objective's own check rejects NaN and targets outside [0, 1]
         s_targets = [ThresholdProbability(float(s)).s_target_bits for s in s_targets]
         objective, target = ThresholdProbability, np.array(s_targets)[:, None]
-        scores = np.empty((len(s_targets), n))
+        rows = np.empty((len(s_targets), n, 2))
     else:
         raise ValueError(f"mode must be expectation or threshold, got {mode!r}")
-    for block, q in matrices._haar_blocks(np.random.default_rng(seed), n):
-        # q is columns first and batch last, so its rows are a view
-        value, gap = objective._score(fusion._outcomes(q.transpose(1, 0, 2)), target)
-        scores[:, block] = (value, gap) if mode == "expectation" else value
+    for block, q in matrices._haar_rows(np.random.default_rng(seed), n):
+        value, gap = objective._score(fusion._outcomes(q), target)
+        # the gap is p_total - 0 in expectation mode and 0 in threshold
+        # mode, so target + gap is the first column: p_total, or s
+        rows[..., block, :] = np.stack([target + gap, value], axis=-1)
     if mode == "expectation":
-        s_exp, p_tot = scores
-        rows = list(zip(p_tot.tolist(), s_exp.tolist()))
-        summary = {
-            "n": n,
-            "S_exp_mean": float(np.mean(s_exp)),
-            "S_exp_std": float(np.std(s_exp)),
-            "p_total_mean": float(np.mean(p_tot)),
-            "p_total_std": float(np.std(p_tot)),
-        }
+        summary = {"n": n}
+        for name, x in (("S_exp", rows[:, 1]), ("p_total", rows[:, 0])):
+            summary[f"{name}_mean"], summary[f"{name}_std"] = float(np.mean(x)), float(np.std(x))
         return rows, summary
-    rows = []
     summary = {"n": n, "targets": {}}
-    for s, P_s in zip(s_targets, scores):
-        rows.extend(zip(itertools.repeat(s), P_s.tolist()))
+    for s, P_s in zip(s_targets, rows[..., 1]):
         summary["targets"][s] = {
             "P_mean": float(np.mean(P_s)),
             "P_std": float(np.std(P_s)),
             "P_max": float(np.max(P_s)),
         }
-    return rows, summary
+    return rows.reshape(-1, 2), summary

@@ -126,16 +126,16 @@ def sweep_csv(path, rows, mode: str, nats: bool = False) -> None:
 
 
 def scatter_csv(path, rows, mode: str, nats: bool = False) -> None:
+    """The (n, 2) rows of `optimize.random_scatter`, one CSV row each;
+    `nats` scales S_exp only, as in `sweep_csv`."""
     scale, unit = entropy_scale(nats)
     if mode == "expectation":
-        header = ["p_total", "S_exp", "units"]
-        data = ((p, s * scale, unit) for p, s in rows)
+        header, scale = ["p_total", "S_exp", "units"], [1.0, scale]
     elif mode == "threshold":
-        header = ["s_target", "P", "units"]
-        data = ((s, p, "bits") for s, p in rows)
+        header, scale, unit = ["s_target", "P", "units"], 1.0, "bits"
     else:
         raise ValueError(f"mode must be expectation or threshold, got {mode!r}")
-    write_csv(path, header, data)
+    write_csv(path, header, (row + [unit] for row in (np.asarray(rows) * scale).tolist()))
 
 
 def analyze_report(matrix_name, table, entropies, classifications, nats: bool = False) -> dict:

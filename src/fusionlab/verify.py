@@ -374,13 +374,10 @@ def _suite_threshold_bounds(rng, trials, fault):
     # the deterministic-success family: block structure, zero entropy
     base = matrices.builtin("blockpair")
     for _ in range(min(max(trials // 10, 5), 50)):
-        blocks = []
-        for _ in range(4):  # Haar-random 2x2 unitaries
-            blocks.append(matrices._haar_qr(rng.normal(size=(2, 2)), rng.normal(size=(2, 2))).T)
-        left = np.zeros((4, 4), dtype=complex)
-        right = np.zeros((4, 4), dtype=complex)
-        left[:2, :2], left[2:, 2:] = blocks[0], blocks[1]
-        right[:2, :2], right[2:, 2:] = blocks[2], blocks[3]
+        # four Haar-random 2x2 unitaries, placed as two block-diagonal pairs
+        blocks = matrices._gram_schmidt(*rng.normal(size=(2, 4, 2, 2))).transpose(2, 0, 1)
+        left, right = np.zeros((2, 4, 4), dtype=complex)
+        left[:2, :2], left[2:, 2:], right[:2, :2], right[2:, 2:] = blocks
         um = left @ base @ right
         c.check(
             abs(fusion.total_relevant_probability(um) - 1.0) <= 1e-12,

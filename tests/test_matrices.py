@@ -82,15 +82,30 @@ def _householder_q(z):
     return q * (d / np.abs(d))[..., None, :]
 
 
+def _householder_rows(g):
+    """Reference for orthonormalised rows: g = L Q is the transpose of the
+    QR decomposition g^T = Q^T L^T, so Q is the transposed Householder Q."""
+    return np.swapaxes(_householder_q(np.swapaxes(g, -1, -2)), -1, -2)
+
+
+def _unitarity_defect(u):
+    return np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(u.shape[-1])).max()
+
+
 @pytest.mark.parametrize("m", [2, 4])
 def test_haar_qr_matches_householder(m):
     rng = np.random.default_rng(m)
     re, im = rng.standard_normal((2, 3000, m, m))
-    q = matrices._haar_qr(re, im)
-    assert q.shape == (m, m, 3000)  # columns first, batch last
-    q = q.T
-    assert np.abs(q - _householder_q(re + 1j * im)).max() <= 1e-10
-    assert np.abs(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(m)).max() <= 1e-14
+    q = matrices._gram_schmidt(re, im)
+    assert q.shape == (m, m, 3000)  # rows first, batch last
+    q = q.transpose(2, 0, 1)
+    assert np.abs(q - _householder_rows(re + 1j * im)).max() <= 1e-10
+    assert _unitarity_defect(q) <= 1e-14
+    # completing the first rows gives the same rows as one pass
+    top = matrices._gram_schmidt(re[:, :1], im[:, :1])
+    rest = matrices._gram_schmidt(re[:, 1:], im[:, 1:], top)
+    assert rest.shape == (m, m, 3000) and np.array_equal(rest[:1], top)
+    assert np.abs(rest.transpose(2, 0, 1) - q).max() <= 1e-10
 
 
 B = matrices._BLOCK
@@ -101,63 +116,74 @@ def test_haar_sample_blocks_match_householder(size):
     u = matrices.haar_sample(np.random.default_rng(21), size=size)
     shape = () if size is None else (size,)
     assert u.shape == shape + (4, 4)
-    # the same stream as two draws: every real part, then every imaginary part
+    # the same stream as four draws: the real then the imaginary parts of
+    # rows 1-2 of every matrix, then those of rows 3-4
     rng = np.random.default_rng(21)
-    z = rng.standard_normal(shape + (4, 4)) + 1j * rng.standard_normal(shape + (4, 4))
+    top = rng.standard_normal(shape + (2, 4)) + 1j * rng.standard_normal(shape + (2, 4))
+    bottom = rng.standard_normal(shape + (2, 4)) + 1j * rng.standard_normal(shape + (2, 4))
     if size != 0:
-        assert np.abs(u - _householder_q(z)).max() <= 1e-10
-        assert np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max() <= 1e-14
+        assert np.abs(u - _householder_rows(np.concatenate([top, bottom], axis=-2))).max() <= 1e-10
+        assert _unitarity_defect(u) <= 1e-14
 
 
 def test_haar_sample_redraw_follows_the_whole_failed_draw(monkeypatch):
     """A degenerate second block redraws from where the whole first draw,
     imaginary parts of the later blocks included, ends in the stream."""
-    real_qr, calls = matrices._haar_qr, []
+    real_gs, calls = matrices._gram_schmidt, []
 
-    def second_block_degenerate(re, im):
+    def second_block_degenerate(re, im, done=None):
         calls.append(len(re))
         if len(calls) == 2:
             raise matrices.DegenerateSampleError("forced")
-        return real_qr(re, im)
+        return real_gs(re, im, done)
 
     n = 2 * B + 5
-    monkeypatch.setattr(matrices, "_haar_qr", second_block_degenerate)
+    monkeypatch.setattr(matrices, "_gram_schmidt", second_block_degenerate)
     u = matrices.haar_sample(np.random.default_rng(8), size=n)
-    assert calls == [B, B, B, B, 5]
+    assert calls == [B, B] + [B, B, 5] * 2  # stage 1 twice, then stage 2
     rng = np.random.default_rng(8)
-    rng.standard_normal((2, n, 4, 4))  # the failed draw
-    re, im = rng.standard_normal((2, n, 4, 4))
-    np.testing.assert_array_equal(u, real_qr(re, im).T)
+    rng.standard_normal((2, n, 2, 4))  # the failed draw
+    top = real_gs(*rng.standard_normal((2, n, 2, 4)))
+    rows = real_gs(*rng.standard_normal((2, n, 2, 4)), top)
+    np.testing.assert_array_equal(u, rows.transpose(2, 0, 1))
 
 
 def test_haar_qr_rejects_rank_deficient_input():
     re, im = np.random.default_rng(4).standard_normal((2, 5, 4, 4))
-    re[3, :, 2], im[3, :, 2] = re[3, :, 0], im[3, :, 0]  # one matrix with two equal columns
+    re[3, 2], im[3, 2] = re[3, 0], im[3, 0]  # one matrix with two equal rows
     with pytest.raises(matrices.DegenerateSampleError):
-        matrices._haar_qr(re, im)
+        matrices._gram_schmidt(re, im)
+    done = matrices._gram_schmidt(re[:, :2], im[:, :2])
+    with pytest.raises(matrices.DegenerateSampleError):
+        matrices._gram_schmidt(re[:, 2:], im[:, 2:], done)  # a new row in the span of done
 
 
 @pytest.mark.parametrize("fails", [2, 5])
 def test_haar_sample_redraws_degenerate_samples(monkeypatch, fails):
-    """Five draws in all: a degenerate draw is replaced by a fresh one."""
-    real_qr = matrices._haar_qr
-    draws = []
+    """Five draws per stage: a degenerate draw is replaced by a fresh one,
+    and redrawing rows 3-4 keeps rows 1-2."""
+    real_gs = matrices._gram_schmidt
+    clean = matrices.haar_sample(np.random.default_rng(1), size=3)
+    for stage in (1, 2):
+        draws = []
 
-    def degenerate_first(re, im):
-        draws.append(re.copy())
-        if len(draws) <= fails:
-            raise matrices.DegenerateSampleError("forced")
-        return real_qr(re, im)
+        def degenerate_first(re, im, done=None):
+            if (done is None) == (stage == 1):
+                draws.append(re.copy())
+                if len(draws) <= fails:
+                    raise matrices.DegenerateSampleError("forced")
+            return real_gs(re, im, done)
 
-    monkeypatch.setattr(matrices, "_haar_qr", degenerate_first)
-    if fails >= 5:
-        with pytest.raises(matrices.DegenerateSampleError):
-            matrices.haar_sample(np.random.default_rng(1), size=3)
-        assert len(draws) == 5
-    else:
+        monkeypatch.setattr(matrices, "_gram_schmidt", degenerate_first)
+        if fails >= 5:
+            with pytest.raises(matrices.DegenerateSampleError):
+                matrices.haar_sample(np.random.default_rng(1), size=3)
+            assert len(draws) == 5
+            continue
         u = matrices.haar_sample(np.random.default_rng(1), size=3)
         assert len(draws) == fails + 1 and not np.array_equal(draws[0], draws[-1])
-        assert np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max() <= 1e-14
+        assert _unitarity_defect(u) <= 1e-14
+        assert np.array_equal(u[:, :2], clean[:, :2]) == (stage == 2)
 
 
 @pytest.mark.parametrize("size", [2.7, 2.0, -1, True, "3"])

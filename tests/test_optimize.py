@@ -75,6 +75,13 @@ def test_config_validation():
             OptimizerConfig(step=step)
 
 
+@pytest.mark.parametrize("field", ["restarts", "init_samples", "iterations", "master_seed"])
+@pytest.mark.parametrize("value", [2.5, "x", -1, True])
+def test_config_integer_fields_are_checked(field, value):
+    with pytest.raises(matrices.MalformedInputError, match=field):
+        OptimizerConfig(**{field: value})
+
+
 def test_optimize_rejects_unknown_objective():
     with pytest.raises(TypeError):
         opt.optimize(object(), TINY)
@@ -308,10 +315,13 @@ def test_random_scatter_validation(monkeypatch):
         raise AssertionError("sampled before validating the arguments")
 
     # every argument is checked before any matrix is drawn
-    monkeypatch.setattr(opt.matrices, "_haar_blocks", no_sampling)
+    monkeypatch.setattr(opt.matrices, "_haar_rows", no_sampling)
     for n in (0, -1, 2.5, True, "4"):
         with pytest.raises(ValueError):
             random_scatter(n, seed=1)
+    for seed in (1.5, "x", -1, True):
+        with pytest.raises(matrices.MalformedInputError, match="seed"):
+            random_scatter(4, seed)
     with pytest.raises(ValueError):
         random_scatter(4, seed=1, mode="scan")
     for s_target in (np.nan, 2.0, -1.0):
@@ -341,7 +351,7 @@ def test_random_scatter_blocks_match_whole_batch(mode):
             [np.stack([np.full(n, t), threshold_probability(u, t)], axis=-1) for t in targets]
         )
         assert list(summary["targets"]) == targets
-    assert all(type(x) is float for x in rows[0]) and len(rows) == want.size // 2
+    assert rows.dtype == np.float64 and rows.shape == (want.size // 2, 2)
     np.testing.assert_array_equal(got, want)
 
 
