@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fusion import Outcome
-from .matrices import UNITARY_TOL
+from .matrices import UNITARY_TOL, _real
 
 __all__ = [
     "LABELS",
@@ -97,8 +97,8 @@ class MaxEntangledParams(NamedTuple):
 
 
 def _check_tol(tol: float) -> None:
-    """ValueError unless `tol` is a finite number >= 0 (NaN fails)."""
-    if not 0.0 <= tol < math.inf:
+    """ValueError unless `tol` is a finite real number >= 0 (NaN fails)."""
+    if not 0.0 <= _real(tol, "tol") < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 

@@ -61,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("expectation", "threshold"))
     p.add_argument("--p-target", type=float, action="append", help="expectation-mode target; repeatable")
     p.add_argument("--s-target", type=float, action="append", help="threshold-mode target; repeatable")
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--restarts", type=_positive_int, default=20)
     p.add_argument("--iterations", type=_positive_int, default=1000)
     p.add_argument("--step", type=float, default=1e-3)
@@ -150,7 +149,7 @@ def _cmd_optimize(args) -> int:
         step=args.step,
         master_seed=args.seed,
     )
-    rows = optimize.sweep(args.mode, targets, cfg, alpha=args.alpha)
+    rows = optimize.sweep(args.mode, targets, cfg)
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"sweep_{args.mode}.csv")

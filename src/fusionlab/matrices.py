@@ -18,6 +18,7 @@ shape (..., 4, 4) are accepted wherever it is cheap to do so.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 
 import numpy as np
@@ -53,8 +54,9 @@ class FusionlabError(Exception):
 
 
 class MalformedInputError(FusionlabError, ValueError):
-    """Input is not a well-formed 4x4 complex matrix (or matrix file), or a
-    sample count is not a non-negative integer."""
+    """Input is not a well-formed 4x4 complex matrix (or matrix file), a
+    sample count is not a non-negative integer, or a numeric setting is not
+    a real number."""
 
 
 class NotUnitaryError(FusionlabError, ValueError):
@@ -167,6 +169,14 @@ def _count(n, name: str = "size") -> int:
     if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0:
         return int(n)
     raise MalformedInputError(f"{name} must be a non-negative integer, got {n!r}")
+
+
+def _real(x, name: str) -> float:
+    """`x` as a float; MalformedInputError unless it is a real number (NaN
+    and infinities pass, for the caller's range check)."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return float(x)
+    raise MalformedInputError(f"{name} must be a real number, got {x!r}")
 
 
 def _gram_schmidt(re: np.ndarray, im: np.ndarray, done: np.ndarray | None = None) -> np.ndarray:

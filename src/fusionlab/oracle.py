@@ -505,26 +505,23 @@ def check_Te_stabilizer(state: np.ndarray, scenario: FusionScenario, phi: float)
     return True
 
 
-def _best_phase_alignment(c00, c01, c10, c11, iters: int = 60) -> float:
+def _best_phase_alignment(c00, c01, c10, c11) -> float:
     """max over (za, zb) on the unit circle of |c00 + zb c01 + za c10 + za zb c11|.
 
-    Coordinate ascent on the two phases; each update is an exact alignment, so
-    convergence is fast and monotone.  Several starts guard against the rare
-    saddle initialization.
+    For fixed zb the best za aligns c10 + zb c11 with c00 + zb c01, which
+    leaves g(zb) = |c00 + zb c01| + |c10 + zb c11|: a 1-D maximization over
+    the phase of zb.  A 257-point grid over the circle brackets the maximum,
+    and three zooms onto the best point's neighbours (each grid holding the
+    previous best at its centre) refine it to ~1e-8 in phase, so the value
+    is off by O(1e-16).
     """
-    best = 0.0
-    for start in (1.0, 1j, -1.0, -1j):
-        zb = start
-        za = 1.0 + 0j
-        for _ in range(iters):
-            u = c00 + zb * c01
-            v = c10 + zb * c11
-            za = np.exp(1j * (np.angle(u) - np.angle(v))) if abs(v) > 1e-300 else 1.0
-            u = c00 + za * c10
-            v = c01 + za * c11
-            zb = np.exp(1j * (np.angle(u) - np.angle(v))) if abs(v) > 1e-300 else 1.0
-        best = max(best, abs(c00 + zb * c01 + za * c10 + za * zb * c11))
-    return best
+    phase, span = 0.0, np.pi
+    for _ in range(4):
+        phi = phase + np.linspace(-span, span, 257)
+        zb = np.exp(1j * phi)
+        g = np.abs(c00 + zb * c01) + np.abs(c10 + zb * c11)
+        phase, span = phi[np.argmax(g)], span / 128
+    return float(np.max(g))
 
 
 def check_weighted_graph_equivalence(

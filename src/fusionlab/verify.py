@@ -470,6 +470,7 @@ def run_suites(
     a subset; `inject_fault` corrupts the channel-invariant computation to
     prove failures are detected.
     """
+    trials, seed = matrices._count(trials, "trials"), matrices._count(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wanted = set(SUITE_NAMES if names is None else names)

@@ -127,9 +127,20 @@ def test_deterministic_matrix_has_no_entanglement():
     )
 
 
+def _family_a_entropy(p):
+    """<S>_A(p) of the family U(t) = pbs2 (R(t) + R(t)), x = sin^2 2t = 2p - 1:
+    two outcomes at S = 1 with p = (1 - x)/8 each, and two partly entangled
+    ones with p = (1 + x)/8 each and larger eigenvalue
+    (1 + sqrt x)^2 / (2 (1 + x))."""
+    x = np.clip(2.0 * np.asarray(p) - 1.0, 0.0, 1.0)
+    lam = (1.0 + np.sqrt(x)) ** 2 / (2.0 * (1.0 + x))
+    return (1.0 - x) / 4.0 + (1.0 + x) / 4.0 * entanglement.entropy(lam)
+
+
 def test_expectation_frontier_sweep():
-    """<S> against pinned success probability: endpoints, monotone shape, and
-    the empirical 1-p band."""
+    """<S> against pinned success probability: endpoints, monotone shape, the
+    empirical 1-p band, and no winner above family A's <S>_A at its own
+    p_total, nor far below it."""
     t0 = time.perf_counter()
     targets = [round(0.5 + 0.01 * k, 2) for k in range(51)]
     rows = opt.sweep("expectation", targets)
@@ -141,6 +152,8 @@ def test_expectation_frontier_sweep():
     ok &= max(steps) <= 0.02
     band = {p: abs(values[p] - (1.0 - p)) for p in (0.6, 0.7, 0.8, 0.9)}
     ok &= max(band.values()) <= 0.08
+    gaps = [r["hard_value"] - _family_a_entropy(r["p_total"]) for r in rows]
+    ok &= -0.006 <= min(gaps) and max(gaps) <= 1e-6
     ok &= elapsed < 900.0
     assert _report(
         ok,
@@ -148,7 +161,7 @@ def test_expectation_frontier_sweep():
         f"S(0.5)={values[0.5]:.4f}, S(1.0)={values[1.0]:.4f}, "
         f"max step {max(steps):+.4f}, band offsets "
         + " ".join(f"{p}:{d:.3f}" for p, d in band.items())
-        + f", {elapsed:.0f}s",
+        + f", worst gap to <S>_A {min(gaps):+.4f}, {elapsed:.0f}s",
     )
 
 

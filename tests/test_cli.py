@@ -249,6 +249,11 @@ def test_optimize_flag_validation(tmp_path, capsys):
         ["optimize", "expectation", "--p-target", "0.2", "--out", str(tmp_path)]
     ) == 2
     assert capsys.readouterr().err.count("error:") == 3
+    # the quadratic-penalty weight is gone: an unknown flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "expectation", "--p-target", "0.7", "--alpha", "1",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +278,8 @@ def test_verify_fault_injection_fails(capsys):
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--trials", "5", "--suite", "bogus"]) == 2
     assert "unknown suite" in capsys.readouterr().err
+    assert main(["verify", "--trials", "5", "--suite", "unitarity", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_verify_rejects_tol(capsys):

@@ -56,9 +56,12 @@ def test_objective_validation():
         ExpectationEntropy(p_target=0.4)
     with pytest.raises(ValueError):
         ExpectationEntropy(p_target=1.2)
-    for alpha in (np.nan, np.inf, -3.0):
-        with pytest.raises(ValueError):
-            ExpectationEntropy(p_target=0.7, alpha=alpha)
+    for p_target in ("x", None, 0.7j):
+        with pytest.raises(matrices.MalformedInputError, match="p_target"):
+            ExpectationEntropy(p_target)
+    for s_target in ("x", None, 0.5j):
+        with pytest.raises(matrices.MalformedInputError, match="s_target"):
+            ThresholdProbability(s_target)
     for s_target in (-0.1, 1.5, np.nan):
         with pytest.raises(ValueError):
             ThresholdProbability(s_target_bits=s_target)
@@ -70,7 +73,7 @@ def test_objective_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(iterations=0)
-    for step in (0.0, np.nan, np.inf):
+    for step in (0.0, np.nan, np.inf, "x", None):
         with pytest.raises(ValueError):
             OptimizerConfig(step=step)
 
@@ -148,35 +151,43 @@ def test_expectation_feasibility_band():
     )
 
 
-def _pool_winners(cfg, p_target):
-    """(<S>, p_total) of each restart's start point: its best pool draw under
-    the score <S> - L1_BETA |p_total - p_target|."""
+def _pool_starts(cfg, p_target):
+    """Each restart's start point: its best pool draw under the score
+    <S> - L1_BETA |p_total - p_target|."""
     rng = np.random.default_rng(cfg.master_seed)
-    u = matrices.from_params(matrices.random_params(rng, size=(cfg.restarts, cfg.init_samples)))
+    theta = matrices.random_params(rng, size=(cfg.restarts, cfg.init_samples))
+    u = matrices.from_params(theta)
     s, p = expectation_entropy(u), fusion.total_relevant_probability(u)
     win = np.argmax(s - opt.L1_BETA * np.abs(p - p_target), axis=1)
-    rows = np.arange(cfg.restarts)
-    return s[rows, win], p[rows, win]
+    return theta[np.arange(cfg.restarts), win]
 
 
 @pytest.mark.parametrize("p_target", [0.75, 0.9])
 def test_expectation_infeasible_fallback(p_target):
     """No candidate reaches the band: the one closest to the target wins (a
-    restart at 0.75, blockpair at 0.9), and the trace is the restart's that
-    lies closest.  One iteration leaves every restart at its start point."""
+    descent point at 0.75, blockpair at 0.9), and the trace is that of the
+    restart whose candidate lies closest.  With one iteration a restart's
+    candidates are its start point and the endpoint of one exact-penalty
+    step from it (the velocity starts at zero)."""
     cfg = OptimizerConfig(restarts=3, init_samples=4, iterations=1, master_seed=3)
     res = opt.optimize(ExpectationEntropy(p_target=p_target), cfg)
-    s_w, p_w = _pool_winners(cfg, p_target)
+    start = _pool_starts(cfg, p_target)
+    w, v, u = matrices._exp_eigh(start)
+    s_w, gap_w, out = opt._evaluate(ExpectationEntropy, u, p_target)
+    (phase,) = ExpectationEntropy._phases(cfg.iterations)
+    end = start - cfg.step * opt._pullback(w, v, u, out, *phase.weights(out.s, gap_w, p_target))
+    gap_e = opt._evaluate(ExpectationEntropy, matrices.from_params(end), p_target)[1]
     p_b = fusion.total_relevant_probability(
         np.stack([matrices.builtin(nm) for nm in matrices.BUILTIN_NAMES])
     )
-    p_all = np.concatenate([p_b, p_w])
+    p_all = np.concatenate([p_b, p_target + gap_w, p_target + gap_e])
     assert np.all(np.abs(p_all - p_target) > opt.FEASIBLE_BAND)
     assert not res.feasible
     assert res.p_total == pytest.approx(p_all[np.argmin(np.abs(p_all - p_target))], abs=1e-12)
     assert res.hard_value == pytest.approx(expectation_entropy(res.best_matrix), abs=1e-12)
     assert res.from_builtin == (None if p_target == 0.75 else "blockpair")
-    assert res.trace[0] == pytest.approx(s_w[np.argmin(np.abs(p_w - p_target))], abs=1e-12)
+    closest = np.argmin(np.minimum(np.abs(gap_w), np.abs(gap_e)))
+    assert res.trace[0] == pytest.approx(s_w[closest], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

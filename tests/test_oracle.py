@@ -321,6 +321,23 @@ def test_weighted_graph_verdict_guards():
         check_weighted_graph_equivalence(run.state, sc, np.pi)
 
 
+def test_phase_alignment_matches_dense_grid():
+    """The 1-D alignment over zb reaches the maximum of a dense 2-D grid over
+    both phases and exceeds it by no more than the grid's resolution allows
+    (the error of a grid maximum is quadratic in its spacing)."""
+    n = 721
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    za, zb = z[:, None], z[None, :]
+    rng = np.random.default_rng(8)
+    quads = list(rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4)))
+    quads += [np.array([1.0, 0, 0, 0]), np.zeros(4), np.array([0.5, 0.5j, 0.0, INV_SQRT2])]
+    for c in quads:
+        c00, c01, c10, c11 = c
+        grid = np.abs(c00 + zb * c01 + za * c10 + za * zb * c11).max()
+        best = oracle._best_phase_alignment(*c)
+        assert grid - 1e-12 <= best <= grid + np.sum(np.abs(c)) * (2 * np.pi / n) ** 2
+
+
 # ---------------------------------------------------------------------------
 # bosonic cross-check
 

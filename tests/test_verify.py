@@ -1,5 +1,6 @@
 import pytest
 
+from fusionlab.matrices import MalformedInputError
 from fusionlab.verify import SUITE_NAMES, run_suites
 
 
@@ -62,3 +63,7 @@ def test_unknown_suite_rejected():
 def test_trials_validation():
     with pytest.raises(ValueError):
         run_suites(trials=0)
+    # checked before any suite runs, and named in the error
+    for field, value in [("trials", 1.5), ("trials", "5"), ("seed", 1.5), ("seed", -1)]:
+        with pytest.raises(MalformedInputError, match=field):
+            run_suites(**{field: value}, names=["unitarity"])
