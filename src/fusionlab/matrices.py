@@ -93,9 +93,9 @@ def validate_unitary(matrix) -> np.ndarray:
         raise MalformedInputError(f"expected shape (4, 4), got {u.shape}")
     if not np.all(np.isfinite(u.view(float))):
         raise MalformedInputError("matrix contains non-finite entries")
-    dev = np.abs(u.conj().T @ u - np.eye(4))
-    max_dev = float(dev.max())
-    if max_dev > UNITARY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_dev = float(np.abs(u.conj().T @ u - np.eye(4)).max())
+    if not max_dev <= UNITARY_TOL:  # a defect that overflows to NaN fails too
         raise NotUnitaryError(max_dev)
     return np.array(u, dtype=complex, order="C")
 
@@ -210,7 +210,8 @@ def _haar_rows(rng, n: int, done: np.ndarray | None = None):
     `done` (j, 4, n), if any.  The stream holds all n real parts, shape
     (n, 2, 4), then the imaginary parts, drawn block by block.  A
     degenerate block redraws all n (five draws at most) and yields again
-    from the first block: consumers write each q into its block's slice."""
+    from the first block: consumers write each q into its block's slice.
+    The optimizer draws its pool and completes its winners here."""
     for _ in range(5):
         re, drawn = rng.standard_normal((n, 2, 4)), 0
         try:
@@ -257,38 +258,6 @@ def haar_sample(rng, size: int | None = None) -> np.ndarray:
 _TRIU_ROWS, _TRIU_COLS = np.triu_indices(4, k=1)
 
 
-def _hermitian_from_params(params: np.ndarray) -> np.ndarray:
-    p = np.asarray(params, dtype=float)
-    if p.shape[-1] != 16:
-        raise MalformedInputError(f"expected 16 parameters, got {p.shape[-1]}")
-    h = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
-    idx = np.arange(4)
-    h[..., idx, idx] = p[..., :4]
-    off = p[..., 4::2] + 1j * p[..., 5::2]
-    h[..., _TRIU_ROWS, _TRIU_COLS] = off
-    h[..., _TRIU_COLS, _TRIU_ROWS] = off.conj()
-    return h
-
-
-def _params_from_hermitian(h: np.ndarray) -> np.ndarray:
-    """Inverse of `_hermitian_from_params`: (..., 4, 4) -> (..., 16), reading
-    the diagonal and the strict upper triangle."""
-    out = np.empty(h.shape[:-2] + (16,))
-    idx = np.arange(4)
-    out[..., :4] = h[..., idx, idx].real
-    off = h[..., _TRIU_ROWS, _TRIU_COLS]
-    out[..., 4::2] = off.real
-    out[..., 5::2] = off.imag
-    return out
-
-
-def _exp_eigh(params):
-    """(w, v, exp(i H)) with H = v diag(w) v^H the generator of `params`."""
-    w, v = np.linalg.eigh(_hermitian_from_params(params))
-    u = np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj())
-    return w, v, u
-
-
 def from_params(params) -> np.ndarray:
     """Map 16 real parameters to exp(i H) with H the Hermitian generator.
 
@@ -297,7 +266,15 @@ def from_params(params) -> np.ndarray:
     for some Hermitian H).  Computed through the eigendecomposition of H, so
     the result is unitary to machine precision.
     """
-    return _exp_eigh(params)[2]
+    p = np.asarray(params, dtype=float)
+    if p.shape[-1] != 16:
+        raise MalformedInputError(f"expected 16 parameters, got {p.shape[-1]}")
+    h = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
+    h[..., range(4), range(4)] = p[..., :4]
+    h[..., _TRIU_ROWS, _TRIU_COLS] = p[..., 4::2] + 1j * p[..., 5::2]
+    h[..., _TRIU_COLS, _TRIU_ROWS] = p[..., 4::2] - 1j * p[..., 5::2]
+    w, v = np.linalg.eigh(h)
+    return np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj())
 
 
 def params_from_matrix(matrix) -> np.ndarray:
@@ -309,9 +286,10 @@ def params_from_matrix(matrix) -> np.ndarray:
     """
     u = validate_unitary(matrix)
     w, v = np.linalg.eig(u)
-    phases = np.angle(w)
-    h = (v * phases) @ np.linalg.inv(v)
-    return _params_from_hermitian(0.5 * (h + h.conj().T))  # drop the anti-Hermitian residue
+    h = (v * np.angle(w)) @ np.linalg.inv(v)
+    h = 0.5 * (h + h.conj().T)  # drop the anti-Hermitian residue
+    off = h[_TRIU_ROWS, _TRIU_COLS]
+    return np.concatenate([h.diagonal().real, np.stack([off.real, off.imag], axis=-1).ravel()])
 
 
 def random_params(rng, size=None) -> np.ndarray:
@@ -365,17 +343,20 @@ def matrix_to_json(matrix) -> dict:
     }
 
 
+def _cell(cell) -> complex:
+    """One [re, im] entry of the JSON layout: two real, non-boolean numbers."""
+    if isinstance(cell, (list, tuple)) and len(cell) == 2:
+        return complex(*(_real(x, "each part of a matrix entry") for x in cell))
+    raise MalformedInputError(f"matrix entries must be [re, im] pairs, got {cell!r}")
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode the {"matrix": ...} layout and validate unitarity."""
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise MalformedInputError('expected an object with a "matrix" key')
-    rows = obj["matrix"]
     try:
-        u = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        u = np.array([[_cell(cell) for cell in row] for row in obj["matrix"]], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad matrix entries: {exc}") from exc
     return validate_unitary(u)
 

@@ -3,24 +3,26 @@
 Expectation mode maximizes the probability-weighted entanglement entropy
 <S> = sum p_ij S_ij at a pinned total success probability; threshold mode
 maximizes P(s) = sum of probabilities of outcomes whose entropy reaches a
-target s.  One engine (`_descend`) runs both: momentum gradient descent in
-the 16-dimensional exp(iH) parameterization, restarted from the best of a
-scored candidate pool.  A sweep over T targets is one run of it: the T x R
-restarts advance together as one numpy batch, each row at its own target,
-and a final exchange ranks every target's points at every target (see
-`sweep`); `optimize` is the case T = 1.  An objective supplies only its
-hard value, its signed gap p_total - p_target (0 in threshold mode) and its
-phase schedule of per-outcome gradient weights, all at per-row targets; the
+target s.  Every outcome depends on rows 1-2 of U alone, so one engine
+(`_descend`) runs both on those two orthonormal rows, restarted from the
+best of a scored pool of Haar rows; only a winner is completed to a 4x4
+unitary.  A sweep over T targets is one run of it: the T x R restarts
+advance together as one numpy batch, each at its own target, and a final
+exchange ranks every target's points at every target (see `sweep`);
+`optimize` is the case T = 1.  An objective supplies only its hard value,
+its signed gap p_total - p_target (0 in threshold mode) and its phase
+schedule of per-outcome gradient weights, all at per-row targets; the
 engine owns the gradient, pool scoring, best-point tracking and the final
-merge with the builtin matrices.  Per-outcome arrays are batch last.
+merge with the builtin matrices.  Rows and per-outcome arrays are batch
+last, as `fusion._outcomes` takes them.
 
-Gradients are exact and reverse-mode, one eigendecomposition of H per restart
-and iteration.  Every descent direction is a weighted sum
-sum_k a_k dp_k + b_k p_k dS_k (+ c dp_diag) over the six relevant outcomes,
-so the engine builds its gradient with respect to U in closed form from the
-forward pass and pulls it back once through exp(iH) with the Daleckii-Krein
-divided-difference formula (`_pullback`; Najfeld & Havel, Adv. Appl. Math.
-16, 1995; Giles, Oxford NA report 08/01, 2008).
+Gradients are exact and reverse-mode.  Every descent direction is a
+weighted sum sum_k a_k dp_k + b_k p_k dS_k (+ c dp_diag) over the six
+relevant outcomes, so the engine builds its gradient with respect to rows
+1-2 in closed form from the forward pass (`_pullback`).  The descent is
+momentum descent on the complex Stiefel manifold (Edelman, Arias & Smith,
+SIAM J. Matrix Anal. Appl. 20, 303, 1998): the velocity is projected onto
+the tangent space at the rows, and the step retracted by Gram-Schmidt.
 
 P(s) is a sum of indicator terms, so its descent runs on a logistic-smoothed
 surrogate with the temperature annealed through `ANNEAL_SCHEDULE`; reported
@@ -64,6 +66,7 @@ ANNEAL_SCHEDULE = (0.1, 0.01, 0.001)  # threshold surrogate temperatures, in tur
 FEASIBLE_BAND = 0.005   # |p_total - p_target| accepted as on-target
 L1_BETA = 2.0           # exact-penalty weight, > the frontier slope
 MOMENTUM = 0.9
+RETRACT_MAX = 1e6       # largest velocity entry the retraction takes, see `_run`
 STATES_P_FLOOR = 1e-6
 
 
@@ -214,7 +217,7 @@ class OptResult:
 def expectation_entropy(matrix):
     """<S> in bits: probability-weighted entropy over the six relevant outcomes."""
     u = np.asarray(matrix, dtype=complex)
-    out = _evaluate(ExpectationEntropy, u, 0.0)[0]
+    out = _evaluate(ExpectationEntropy, fusion._rows(u), 0.0)[0]
     return float(out) if u.ndim == 2 else out
 
 
@@ -227,7 +230,7 @@ def threshold_probability(matrix, s_target_bits: float):
     # the objective's own check rejects non-real values, NaN and targets outside [0, 1]
     s_target = ThresholdProbability(s_target_bits).s_target_bits
     u = np.asarray(matrix, dtype=complex)
-    total = _evaluate(ThresholdProbability, u, s_target)[0]
+    total = _evaluate(ThresholdProbability, fusion._rows(u), s_target)[0]
     return float(total) if u.ndim == 2 else total
 
 
@@ -253,15 +256,13 @@ def _pairs(upper, lower=None) -> np.ndarray:
     return m
 
 
-def _pullback(w, v, u, out, a, b, c=0.0) -> np.ndarray:
-    """sum_k a_k dp_k + b_k p_k dS_k + c dp_diag along the 16 parameters, (R, 16),
-    over the six relevant outcomes and the same-channel total p_diag.
-
-    w, v, u come from `matrices._exp_eigh` of the restarts' parameters and
-    `out` is the kernel output `fusion._outcomes` of u; a and b are (6, R)
-    or scalars, c (R,) or a scalar.  One vector-Jacobian product: with df
-    that sum, G = df/dRe(U) + i df/dIm(U) is built in closed form from the
-    forward pass,
+def _pullback(r, out, a, b, c=0.0) -> np.ndarray:
+    """sum_k a_k dp_k + b_k p_k dS_k + c dp_diag with respect to the rows
+    1-2 r, (2, 4, R), over the six relevant outcomes and the same-channel
+    total p_diag; out = `fusion._outcomes(r)`, a and b are (6, R) or
+    scalars, c (R,) or a scalar.  One vector-Jacobian product: with df that
+    sum, G = df/dRe(U) + i df/dIm(U) is built in closed form from the
+    forward pass, so that df = Re tr(G^H dU):
 
       p_ij = 1/8 - n_i n_j / 2 - |o_ij|^2 / 2,  n_i = 1/2 - |U_1i|^2 - |U_2i|^2,
           o_ij = U_1i conj(U_1j) + U_2i conj(U_2j), so rows 1, 2 of G are
@@ -270,20 +271,7 @@ def _pullback(w, v, u, out, a, b, c=0.0) -> np.ndarray:
       det_ij = |top_ij top_kl|^2 / (4 p_ij)^2 with top the minors of rows
           (1, 2) and kl the pair complementary to ij (`fusion._outcomes`),
           so p dS = S'(det) (d|top_ij top_kl|^2 / (16 p) - 2 det dp), zero
-          where p = 0, with S' = `entanglement._entropy_slope`; rows 3, 4
-          of G are zero;
-
-    and pulled back through U = exp(i H), H = V diag(w) V^H, once.  By
-    Daleckii-Krein, dU = V (Phi o V^H E V) V^H along a Hermitian direction E,
-    with Phi_ab = (e^{i w_a} - e^{i w_b}) / (w_a - w_b) evaluated as
-    i e^{i (w_a + w_b) / 2} sinc((w_a - w_b) / 2), which needs no special
-    case for (near-)equal eigenvalues (Najfeld & Havel 1995).  So
-    df = Re tr(G^H dU) = Re tr(Z^H E) with Z = V (conj(Phi) o V^H G V) V^H,
-    and the partials are read off Z (Giles 2008): Re Z_kk for the diagonal
-    parameters, Re(Z_xy + Z_yx) and Im Z_xy - Im Z_yx for the pair (x, y),
-    that is the parameters of Z plus the conjugate transpose of its strict
-    lower triangle.
-    """
+          where p = 0, with S' = `entanglement._entropy_slope`."""
     slope = b * entanglement._entropy_slope(out.det)
     a = a - 2.0 * slope * out.det
     live = out.p > 0.0
@@ -293,23 +281,19 @@ def _pullback(w, v, u, out, a, b, c=0.0) -> np.ndarray:
     k -= _pairs(a * out.overlap.conj(), a * out.overlap)
     # e is 2 x the weight of d|top_ij top_kl|^2, and |top_ij|^2 enters det_ij and det_kl
     m = (e + e[::-1]) * np.abs(out.top[::-1]) ** 2 * out.top
-    g = u[..., :2, :] @ k + np.stack([-u[..., 1, :].conj(), u[..., 0, :].conj()], axis=-2) @ _pairs(m, -m)
-
-    half = 0.5 * (w[..., :, None] - w[..., None, :])
-    phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(half / np.pi)
-    vh = v.conj().swapaxes(-1, -2)
-    z = v @ (phi.conj() * (vh[..., :2] @ g @ v)) @ vh
-    return matrices._params_from_hermitian(z + np.tril(z, -1).conj().swapaxes(-1, -2))
+    u = r.transpose(2, 0, 1)
+    g = u @ k + np.stack([-u[..., 1, :].conj(), u[..., 0, :].conj()], axis=-2) @ _pairs(m, -m)
+    return g.transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
 # descent engine
 
 
-def _evaluate(objective, u: np.ndarray, target):
-    """(value, gap, out) of a matrix batch under `objective` at per-row
-    `target`, with out the batch's kernel output."""
-    out = fusion._outcomes(fusion._rows(u))
+def _evaluate(objective, r: np.ndarray, target):
+    """(value, gap, out) of the rows 1-2 r, (2, 4, ...) batch last, under
+    `objective` at per-row `target`, with out the kernel output of r."""
+    out = fusion._outcomes(r)
     value, gap = objective._score(out, target)
     return value, gap, out
 
@@ -321,40 +305,55 @@ def _rank(value, gap, feasible) -> int:
     return int(np.argmin(np.abs(gap)))
 
 
-def _run(objective, theta, target, phases, iterations: int, step: float):
-    """Momentum descent of every row of `theta` at its own target.
+def _tangent(r, x):
+    """x projected onto the tangent space at the orthonormal rows r, both
+    (2, 4, R): x - sym(x r^H) r, sym(y) = (y + y^H) / 2."""
+    xr = np.sum(x[:, None] * r.conj(), axis=2)
+    sym = 0.5 * (xr + xr.conj().transpose(1, 0, 2))
+    return x - np.sum(sym[..., None, :] * r[None], axis=1)
 
-    Returns (finals, trace): per row the best feasible point visited, or else
-    the point closest to its target, and the (iterations, rows) hard values.
-    """
-    vel = np.zeros_like(theta)
-    best_value = np.full(len(theta), -np.inf)
-    best_theta = theta.copy()
-    best_gap = np.full(len(theta), np.inf)
-    best_gap_theta = theta.copy()
+
+def _run(objective, r, target, phases, iterations: int, step: float):
+    """Momentum descent of the orthonormal rows r, (2, 4, R), each restart
+    at its own target (see the module docstring).  Returns (finals, trace):
+    per restart the best feasible point visited, or else the point closest
+    to its target, and the (iterations, R) hard values."""
+    vel = np.zeros_like(r)
+    best_value = np.full(r.shape[-1], -np.inf)
+    best_r = r.copy()
+    best_gap = np.full(r.shape[-1], np.inf)
+    best_gap_r = r.copy()
 
     def track(points, value, gap):
         upd = (np.abs(gap) <= FEASIBLE_BAND) & (value > best_value)
         best_value[upd] = value[upd]
-        best_theta[upd] = points[upd]
+        best_r[..., upd] = points[..., upd]
         upd = np.abs(gap) < best_gap
         best_gap[upd] = np.abs(gap[upd])
-        best_gap_theta[upd] = points[upd]
+        best_gap_r[..., upd] = points[..., upd]
 
     k = 0
-    trace = np.zeros((iterations, len(theta)))
+    trace = np.zeros((iterations, r.shape[-1]))
     for it in range(iterations):
         while k + 1 < len(phases) and phases[k + 1].start <= it:
             k += 1
-        w, v, u = matrices._exp_eigh(theta)
-        value, gap, out = _evaluate(objective, u, target)
+        value, gap, out = _evaluate(objective, r, target)
         trace[it] = value
-        track(theta, value, gap)
-        grad = _pullback(w, v, u, out, *phases[k].weights(out.s, gap, target))
-        vel = MOMENTUM * vel - step * grad
-        theta = theta + vel
-    track(theta, *_evaluate(objective, matrices.from_params(theta), target)[:2])
-    return np.where((best_value > -np.inf)[:, None], best_theta, best_gap_theta), trace
+        track(r, value, gap)
+        grad = _pullback(r, out, *phases[k].weights(out.s, gap, target))
+        vel = _tangent(r, MOMENTUM * vel - step * grad)
+        # r + vel has full rank for a tangent vel, unless rounding loses r
+        y = r + vel / np.maximum(1.0, np.abs(vel).max(axis=(0, 1)) / RETRACT_MAX)
+        r = matrices._gram_schmidt(y.real.transpose(2, 0, 1), y.imag.transpose(2, 0, 1))
+    track(r, *_evaluate(objective, r, target)[:2])
+    return np.where(best_value > -np.inf, best_r, best_gap_r), trace
+
+
+def _complete(rows, seed: int) -> np.ndarray:
+    """The unitary with the orthonormal rows 1-2 `rows`, (2, 4), and rows
+    3-4 from `matrices.haar_sample`'s second stage at `seed`."""
+    _, q = next(matrices._haar_rows(np.random.default_rng(seed), 1, rows[..., None]))
+    return q[..., 0]  # one block, yielded once it is drawn without degeneracy
 
 
 def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
@@ -364,39 +363,39 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
     T, R = len(objectives), cfg.restarts
     targets = np.array([o._target for o in objectives])
 
-    # one candidate pool, scored at every target
-    rng = np.random.default_rng(cfg.master_seed)
-    cand = matrices.random_params(rng, size=(R, cfg.init_samples))
-    value0, gap0, _ = _evaluate(obj, matrices.from_params(cand.reshape(-1, 16)), targets[:, None])
+    # one Haar candidate pool, scored at every target
+    pool = np.empty((2, 4, R * cfg.init_samples), dtype=complex)
+    for block, q in matrices._haar_rows(np.random.default_rng(cfg.master_seed), pool.shape[-1]):
+        pool[..., block] = q
+    value0, gap0, _ = _evaluate(obj, pool, targets[:, None])
     score0 = (value0 - L1_BETA * np.abs(gap0)).reshape(T, R, -1)
-    theta = cand[np.arange(R), np.argmax(score0, axis=-1)].reshape(T * R, 16)
+    starts = pool.reshape(2, 4, R, -1)[:, :, np.arange(R), np.argmax(score0, axis=-1)]
 
     phases = obj._phases(cfg.iterations)
     target = np.repeat(targets, R)
-    finals, trace = _run(obj, theta, target, phases, cfg.iterations, cfg.step)
+    finals, trace = _run(obj, starts.reshape(2, 4, T * R), target, phases, cfg.iterations, cfg.step)
 
-    handed = np.empty((0, 16))
+    handed = np.empty((2, 4, 0), dtype=complex)
     if T > 1:
         # hand-off round: every target descends again from the round-1
         # winners of its two sorted neighbours, in the last phase
-        value1, gap1, _ = _evaluate(obj, matrices.from_params(finals), target)
+        value1, gap1, _ = _evaluate(obj, finals, target)
         value1, gap1 = value1.reshape(T, R), gap1.reshape(T, R)
         best = [_rank(value1[t], gap1[t], np.abs(gap1[t]) <= FEASIBLE_BAND) for t in range(T)]
-        winners = finals.reshape(T, R, 16)[np.arange(T), best]
+        winners = finals.reshape(2, 4, T, R)[:, :, np.arange(T), best]
         order = np.argsort(targets, kind="stable")
         src = np.concatenate([order[:-1], order[1:]])
         dst = np.concatenate([order[1:], order[:-1]])
         handed, _ = _run(
-            obj, winners[src], targets[dst], phases[-1:], cfg.iterations // 3, cfg.step
+            obj, winners[..., src], targets[dst], phases[-1:], cfg.iterations // 3, cfg.step
         )
 
     # final exchange: the builtins and every final point, ranked at every target
     names = matrices.BUILTIN_NAMES
     B = len(names)
     mats = np.stack([matrices.builtin(nm) for nm in names])
-    points = np.concatenate([finals, handed])
-    u = np.concatenate([mats, matrices.from_params(points)])
-    value, gap, out = _evaluate(obj, u, targets[:, None])
+    points = np.concatenate([fusion._rows(mats), finals, handed], axis=-1)
+    value, gap, out = _evaluate(obj, points, targets[:, None])
     value, gap = np.broadcast_arrays(value, gap)
     feasible = np.abs(gap) <= FEASIBLE_BAND
     p_total = np.sum(out.p, axis=0)
@@ -415,7 +414,7 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
             winner_restart = pick - own.start
         else:
             winner_restart = _rank(v[own], g[own], f[own])
-        best_matrix = mats[pick] if pick < B else matrices.from_params(points[pick - B])
+        best_matrix = mats[pick] if pick < B else _complete(points[..., pick], cfg.master_seed)
         results.append(
             OptResult(
                 best_matrix=best_matrix,
@@ -438,8 +437,8 @@ def optimize(objective, config: OptimizerConfig | None = None) -> OptResult:
     """Run the full restart descent for one objective.
 
     Each iteration takes the exact gradient of the objective (the smoothed
-    surrogate in threshold mode) from one eigendecomposition of the
-    generator per restart; see the module docstring.
+    surrogate in threshold mode) with respect to rows 1-2 of U; see the
+    module docstring.
 
     Deterministic for a given config: every random draw derives from
     `master_seed`, restarts advance in one batch, and ties in the final
@@ -463,13 +462,13 @@ def sweep(kind: str, targets, config: OptimizerConfig | None = None) -> list[dic
     its neighbours in sorted target order.  Finally the builtins and every
     final point of both rounds are scored at every target, and each target
     ranks all of them.  So a matrix found for one target counts for every
-    other: P(s) is weakly decreasing by construction.  The hand-off is there
-    for <S>(p): at the default config over p = 0.50, 0.51, ..., 1.00 it
-    raises 37 to 44 of the 51 targets by more than 1e-4, and by up to
-    0.0051, for master seeds 0 to 3.  `mean_value` covers the target's own
-    restarts.  A one-target sweep is exactly `optimize`.  Rows come back in
-    the order the targets were given, every one with `seed` = `master_seed`.
-    """
+    other: P(s) is weakly decreasing by construction.  At the default
+    config and master seeds 0 to 3 the hand-off raises 10 to 15 of the 51
+    targets p = 0.50, 0.51, ..., 1.00 by more than 1e-4 (by up to 0.0046),
+    and 8 to 11 of the 26 targets s = 0, 0.04, ..., 1 (by up to 0.011).
+    `mean_value` covers the target's own restarts.  A one-target sweep is
+    exactly `optimize`.  Rows come back in the order the targets were
+    given, every one with `seed` = `master_seed`."""
     if kind not in ("expectation", "threshold"):
         raise ValueError(f"sweep kind must be expectation or threshold, got {kind!r}")
     cfg = config if config is not None else OptimizerConfig()

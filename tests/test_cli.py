@@ -94,6 +94,27 @@ def test_analyze_rejects_non_unitary(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_rejects_overflowing_matrix(tmp_path, capsys):
+    """Finite entries whose U^H U overflows are not unitary (the defect is NaN)."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"matrix": [[[1e200, 1e200]] * 4] * 4}))
+    assert main(["analyze", "--matrix", str(path)]) == 2
+    assert "error: matrix is not unitary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cell", [{"re": 1, "im": 0}, [1, 0, 0], [True, False]], ids=["object", "three-numbers", "booleans"]
+)
+def test_analyze_rejects_malformed_cells(cell, tmp_path, capsys):
+    doc = matrices.matrix_to_json(np.eye(4))
+    doc["matrix"][0][0] = cell
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--matrix", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "matrix entr" in err
+
+
 def test_analyze_accepts_near_unitary_matrix(tmp_path, capsys):
     """A matrix that passes validate_unitary gets a report, not a traceback."""
     u = matrices.builtin("pbs2") + 4e-11 * np.random.default_rng(0).normal(size=(4, 4))

@@ -48,6 +48,9 @@ def test_validate_unitary_accepts_and_rejects():
         matrices.validate_unitary(np.eye(4) * 1.001)
     with pytest.raises(matrices.MalformedInputError):
         matrices.validate_unitary(np.eye(3))
+    # finite entries whose U^H U overflows: the defect is NaN, not small
+    with pytest.raises(matrices.NotUnitaryError):
+        matrices.validate_unitary(np.full((4, 4), 1e200 + 1e200j))
 
 
 def test_haar_sample_is_unitary():
@@ -255,6 +258,19 @@ def test_load_matrix_rejects_garbage(tmp_path):
     path.write_text("{\"matrix\": [[1, 2], [3]]}")
     with pytest.raises(matrices.MalformedInputError):
         matrices.load_matrix(path)
+
+
+BAD_CELLS = [{"re": 1, "im": 0}, [1, 0, 0], [True, False]]
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS, ids=["object", "three-numbers", "booleans"])
+def test_matrix_from_json_rejects_bad_cells(cell):
+    """Only [re, im] pairs of real, non-boolean numbers are entries; an
+    object cell once raised KeyError, and the other two were read as 1."""
+    doc = matrices.matrix_to_json(np.eye(4))
+    doc["matrix"][0][0] = cell
+    with pytest.raises(matrices.MalformedInputError, match="matrix entr"):
+        matrices.matrix_from_json(doc)
 
 
 def test_resolve_matrix_builtin_and_path(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,18 +106,53 @@ def test_determinism():
     assert a.hard_value == b.hard_value
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_result_bookkeeping():
-    res = opt.optimize(ThresholdProbability(s_target_bits=0.4), TINY)
-    assert res.kind == "threshold"
-    assert res.target == 0.4
-    assert res.seed == TINY.master_seed
-    assert len(res.trace) == TINY.iterations
-    assert len(res.restart_values) == TINY.restarts
-    assert res.hard_value == pytest.approx(
-        threshold_probability(res.best_matrix, 0.4), abs=1e-12
-    )
-    # the merged builtin pool bounds the result from below
-    assert res.hard_value >= 0.5 - 1e-12
+    # a huge step once crashed in the eigendecomposition of the generator
+    for step in (TINY.step, 1e308):
+        cfg = dataclasses.replace(TINY, step=step)
+        res = opt.optimize(ThresholdProbability(s_target_bits=0.4), cfg)
+        assert res.kind == "threshold"
+        assert res.target == 0.4
+        assert res.seed == TINY.master_seed
+        assert len(res.trace) == TINY.iterations
+        assert len(res.restart_values) == TINY.restarts
+        assert np.isfinite(res.hard_value) and res.feasible
+        assert res.hard_value == pytest.approx(
+            threshold_probability(res.best_matrix, 0.4), abs=1e-12
+        )
+        # the merged builtin pool bounds the result from below
+        assert res.hard_value >= 0.5 - 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_descent_stays_on_orthonormal_rows(monkeypatch):
+    """Every final point of both descent rounds has orthonormal rows, and
+    every winner, completed to 4 x 4, is unitary; also after a step so
+    large that Gram-Schmidt would lose the rows to rounding."""
+    finals = []
+    run = opt._run
+
+    def spy(*args):
+        points, trace = run(*args)
+        finals.append(points)
+        return points, trace
+
+    monkeypatch.setattr(opt, "_run", spy)
+    results = [
+        opt.optimize(ExpectationEntropy(p_target=0.8)),
+        opt.optimize(ThresholdProbability(s_target_bits=0.6)),
+    ]
+    results += [row["result"] for row in sweep("expectation", [0.6, 0.9], SMALL)]
+    huge = dataclasses.replace(SMALL, step=1e154)
+    results += [row["result"] for row in sweep("expectation", [0.5, 0.75], huge)]
+    assert len(finals) == 6  # each sweep's round 1 and its hand-off round
+    for r in finals:
+        gram = np.einsum("ain,bin->nab", r, r.conj())
+        assert np.abs(gram - np.eye(2)).max() <= 1e-14
+    for res in results:
+        u = matrices.validate_unitary(res.best_matrix)
+        assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
 
 
 def test_threshold_knife_edge_prefers_exact_builtin():
@@ -153,13 +190,13 @@ def test_expectation_feasibility_band():
 
 def _pool_starts(cfg, p_target):
     """Each restart's start point: its best pool draw under the score
-    <S> - L1_BETA |p_total - p_target|."""
-    rng = np.random.default_rng(cfg.master_seed)
-    theta = matrices.random_params(rng, size=(cfg.restarts, cfg.init_samples))
-    u = matrices.from_params(theta)
+    <S> - L1_BETA |p_total - p_target|.  The pool is rows 1-2 of Haar
+    matrices, the first stage of `haar_sample` at the master seed."""
+    u = matrices.haar_sample(cfg.master_seed, size=cfg.restarts * cfg.init_samples)
+    u = u.reshape(cfg.restarts, cfg.init_samples, 4, 4)
     s, p = expectation_entropy(u), fusion.total_relevant_probability(u)
     win = np.argmax(s - opt.L1_BETA * np.abs(p - p_target), axis=1)
-    return theta[np.arange(cfg.restarts), win]
+    return u[np.arange(cfg.restarts), win]
 
 
 @pytest.mark.parametrize("p_target", [0.75, 0.9])
@@ -168,15 +205,17 @@ def test_expectation_infeasible_fallback(p_target):
     descent point at 0.75, blockpair at 0.9), and the trace is that of the
     restart whose candidate lies closest.  With one iteration a restart's
     candidates are its start point and the endpoint of one exact-penalty
-    step from it (the velocity starts at zero)."""
+    step from it (the velocity starts at zero): the tangent part of minus
+    the gradient, retracted onto orthonormal rows by Gram-Schmidt."""
     cfg = OptimizerConfig(restarts=3, init_samples=4, iterations=1, master_seed=3)
     res = opt.optimize(ExpectationEntropy(p_target=p_target), cfg)
-    start = _pool_starts(cfg, p_target)
-    w, v, u = matrices._exp_eigh(start)
-    s_w, gap_w, out = opt._evaluate(ExpectationEntropy, u, p_target)
+    r = fusion._rows(_pool_starts(cfg, p_target))
+    s_w, gap_w, out = opt._evaluate(ExpectationEntropy, r, p_target)
     (phase,) = ExpectationEntropy._phases(cfg.iterations)
-    end = start - cfg.step * opt._pullback(w, v, u, out, *phase.weights(out.s, gap_w, p_target))
-    gap_e = opt._evaluate(ExpectationEntropy, matrices.from_params(end), p_target)[1]
+    grad = opt._pullback(r, out, *phase.weights(out.s, gap_w, p_target))
+    y = r + opt._tangent(r, -cfg.step * grad)
+    end = matrices._gram_schmidt(y.real.transpose(2, 0, 1), y.imag.transpose(2, 0, 1))
+    gap_e = opt._evaluate(ExpectationEntropy, end, p_target)[1]
     p_b = fusion.total_relevant_probability(
         np.stack([matrices.builtin(nm) for nm in matrices.BUILTIN_NAMES])
     )
@@ -381,19 +420,22 @@ FD_STEPS = 10.0 ** -np.arange(2.0, 8.0)
 NEAR_BUILTIN = {"pbs2": 1e-2, "blockpair": 1e-1}  # offsets with a usable FD reference
 
 
-def _fd_grad(f, theta, h):
-    """Fourth-order central differences of f along each of the 16 parameters."""
-    g = np.empty(theta.shape)
+def _fd_grad(f, u, h):
+    """Fourth-order central differences of f along the 16 curves
+    U exp(i t E_k) = U @ from_params(t e_k) through each point U."""
+    g = np.empty(u.shape[:-2] + (16,))
     for k in range(16):
         e = np.zeros(16)
         e[k] = h
-        near = f(theta + e) - f(theta - e)
-        far = f(theta + 2 * e) - f(theta - 2 * e)
-        g[..., k] = (8.0 * near - far) / (12.0 * h)
+
+        def at(t):
+            return f(u @ matrices.from_params(t * e))
+
+        g[..., k] = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
     return g
 
 
-def _assert_matches_fd(grad, f, theta):
+def _assert_matches_fd(grad, f, u):
     """Compare with finite differences wherever they are well conditioned.
 
     Differences are taken on a ladder of steps; at each point the two
@@ -401,10 +443,10 @@ def _assert_matches_fd(grad, f, theta):
     well conditioned when they agree to 1e-8 of the gradient's size.  There
     the gradient must agree to 1e-6.  Returns the mask of conditioned points.
     """
-    fds = np.stack([_fd_grad(f, theta, h) for h in FD_STEPS])
+    fds = np.stack([_fd_grad(f, u, h) for h in FD_STEPS])
     gaps = np.abs(fds[1:] - fds[:-1]).max(axis=-1)
     best = np.argmin(gaps, axis=0)
-    pts = np.arange(len(theta))
+    pts = np.arange(len(u))
     ref = fds[best + 1, pts]
     scale = np.maximum(np.abs(ref).max(axis=-1), FD_FLOOR)
     conditioned = gaps[best, pts] <= 1e-8 * scale
@@ -416,13 +458,12 @@ def _assert_matches_fd(grad, f, theta):
 def _gradient_points(group):
     rng = np.random.default_rng(2024)
     if group == "random":
-        return matrices.random_params(rng, size=6)
+        return matrices.from_params(matrices.random_params(rng, size=6))
     base = matrices.params_from_matrix(matrices.builtin(group))
-    return base + NEAR_BUILTIN[group] * rng.normal(size=(4, 16))
+    return matrices.from_params(base + NEAR_BUILTIN[group] * rng.normal(size=(4, 16)))
 
 
-def _smooth_threshold(theta, s_target, tau):
-    u = matrices.from_params(theta)
+def _smooth_threshold(u, s_target, tau):
     k = fusion._outcomes(fusion._rows(u))
     out = np.sum(k.p * opt._logistic((k.s - s_target) / tau), axis=0)
     if s_target <= 0.0:
@@ -436,25 +477,40 @@ def _assert_covered(masks, group):
     assert share >= (0.9 if group == "random" else 0.25), share
 
 
-def _grad_at(theta, weights):
-    """The engine's pull-back at theta with batch-last weights(s) -> (a, b[, c])."""
-    w, v, u = matrices._exp_eigh(theta)
-    out = fusion._outcomes(fusion._rows(u))
-    return opt._pullback(w, v, u, out, *weights(out.s))
+def _generators():
+    """The Hermitian E_k with from_params(t e_k) = exp(i t E_k): the
+    diagonal, then the real and imaginary parts of the strict upper triangle."""
+    e = np.zeros((16, 4, 4), dtype=complex)
+    e[range(4), range(4), range(4)] = 1.0
+    for k, (x, y) in enumerate(zip(*np.triu_indices(4, k=1))):
+        e[4 + 2 * k, x, y] = e[4 + 2 * k, y, x] = 1.0
+        e[5 + 2 * k, x, y], e[5 + 2 * k, y, x] = 1j, -1j
+    return e
+
+
+def _grad_at(u, weights):
+    """The engine's gradient G with respect to rows 1-2, R, at the points u,
+    with batch-last weights(s) -> (a, b[, c]), along the 16 curves of
+    `_fd_grad`: Re tr(G^H R i E_k), (points, 16)."""
+    r = fusion._rows(u)
+    out = fusion._outcomes(r)
+    g = opt._pullback(r, out, *weights(out.s)).transpose(2, 0, 1)
+    dr = 1j * u[:, None, :2, :] @ _generators()
+    return np.sum(g[:, None].conj() * dr, axis=(-2, -1)).real
 
 
 @pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
 def test_expectation_gradient_matches_finite_differences(group):
-    theta = _gradient_points(group)
-    g_S = _grad_at(theta, lambda s: (s, 1.0))
-    g_p = _grad_at(theta, lambda s: (np.ones_like(s), 0.0))
+    u = _gradient_points(group)
+    g_S = _grad_at(u, lambda s: (s, 1.0))
+    g_p = _grad_at(u, lambda s: (np.ones_like(s), 0.0))
 
     def score(x):  # at target 0, the gap is p_total itself
-        return opt._evaluate(ExpectationEntropy, matrices.from_params(x), 0.0)
+        return opt._evaluate(ExpectationEntropy, fusion._rows(x), 0.0)
 
     masks = [
-        _assert_matches_fd(g_S, lambda x: score(x)[0], theta),
-        _assert_matches_fd(g_p, lambda x: score(x)[1], theta),
+        _assert_matches_fd(g_S, lambda x: score(x)[0], u),
+        _assert_matches_fd(g_p, lambda x: score(x)[1], u),
     ]
     _assert_covered(masks, group)
 
@@ -463,13 +519,13 @@ def test_expectation_gradient_matches_finite_differences(group):
 @pytest.mark.parametrize("s_target", [0.0, 0.5, 1.0])
 def test_threshold_gradient_matches_finite_differences(group, s_target):
     """The surrogate phases' weights pull back to minus the surrogate's gradient."""
-    theta = _gradient_points(group)
+    u = _gradient_points(group)
     obj = ThresholdProbability(s_target_bits=s_target)
     masks = [
         _assert_matches_fd(
-            -_grad_at(theta, lambda s: obj._surrogate(tau, s, None, s_target)),
+            -_grad_at(u, lambda s: obj._surrogate(tau, s, None, s_target)),
             lambda x: _smooth_threshold(x, s_target, tau),
-            theta,
+            u,
         )
         for tau in ANNEAL_SCHEDULE
     ]
@@ -481,59 +537,57 @@ def test_outcome_derivatives_near_builtins(name):
     """Per-outcome dp and dS next to pbs2 (det -> 1/4 on its four live
     outcomes) and blockpair (det -> 0 with p_total -> 1), each from one-hot
     weights: a = e_j gives dp_j, b = e_j gives p_j dS_j."""
-    theta = _gradient_points(name)
-    p = fusion.relevant_probabilities(matrices.from_params(theta))
+    u = _gradient_points(name)
+    p = fusion.relevant_probabilities(u)
     live = p > 0.1  # the outcomes that fire at the builtin itself
     masks = []
     for j in range(6):
         e_j = np.eye(6)[:, j, None]  # batch last: one column per outcome
 
         def p_j(x):
-            return fusion.relevant_probabilities(matrices.from_params(x))[..., j]
+            return fusion.relevant_probabilities(x)[..., j]
 
         def s_j(x):
-            return entanglement.entropies_from_matrix(matrices.from_params(x))[..., j]
+            return entanglement.entropies_from_matrix(x)[..., j]
 
-        ok_p = _assert_matches_fd(_grad_at(theta, lambda s: (e_j, 0.0)), p_j, theta)
-        pds_j = _grad_at(theta, lambda s: (0.0, e_j))
-        ok_s = _assert_matches_fd(pds_j / p[:, None, j], s_j, theta)
+        ok_p = _assert_matches_fd(_grad_at(u, lambda s: (e_j, 0.0)), p_j, u)
+        pds_j = _grad_at(u, lambda s: (0.0, e_j))
+        ok_s = _assert_matches_fd(pds_j / p[:, None, j], s_j, u)
         masks += [ok_p[live[:, j]], ok_s[live[:, j]]]
     assert np.mean(np.concatenate(masks)) >= 0.75
 
 
 def test_gradients_finite_at_builtins():
-    """Exact builtins sit on p = 0 outcomes, det in {0, 1/4} and repeated
-    generator eigenvalues (identity: H = 0); every phase's gradient of both
-    objectives stays finite."""
-    theta = np.stack([matrices.params_from_matrix(matrices.builtin(nm)) for nm in matrices.BUILTIN_NAMES])
-    w, v, u = matrices._exp_eigh(theta)
+    """Exact builtins sit on p = 0 outcomes and det in {0, 1/4}; every
+    phase's gradient of both objectives stays finite."""
+    names = matrices.BUILTIN_NAMES
+    r = fusion._rows(np.stack([matrices.builtin(nm) for nm in names]))
     objectives = [ExpectationEntropy(p_target=0.75)]
     objectives += [ThresholdProbability(s_target_bits=s) for s in (0.0, 0.5, 1.0)]
     for obj in objectives:
-        target = np.full(len(theta), obj._target)
-        _, gap, out = opt._evaluate(obj, u, target)
-        assert set(out.p[:, matrices.BUILTIN_NAMES.index("identity")]) == {0.0, 0.25}
+        target = np.full(len(names), obj._target)
+        _, gap, out = opt._evaluate(obj, r, target)
+        assert set(out.p[:, names.index("identity")]) == {0.0, 0.25}
         for phase in obj._phases(30):
-            g = opt._pullback(w, v, u, out, *phase.weights(out.s, gap, target))
-            assert g.shape == (len(theta), 16)
+            g = opt._pullback(r, out, *phase.weights(out.s, gap, target))
+            assert g.shape == (2, 4, len(names))
             assert np.all(np.isfinite(g))
 
 
 def test_pullback_batched_matches_single():
-    """A 7-row pull-back equals seven 1-row calls; the rows include builtins
-    with zero-probability outcomes and repeated generator eigenvalues."""
+    """A 7-point gradient equals seven 1-point calls; the points include
+    builtins with zero-probability outcomes."""
     rng = np.random.default_rng(11)
-    builtins = [matrices.params_from_matrix(matrices.builtin(nm)) for nm in ("identity", "pbs2")]
-    theta = np.concatenate([matrices.random_params(rng, size=5), np.stack(builtins)])
+    builtins = [matrices.builtin(nm) for nm in ("identity", "pbs2")]
+    r = fusion._rows(np.concatenate([matrices.haar_sample(rng, size=5), builtins]))
     a, b = rng.normal(size=(2, 6, 7))
 
     def grad(rows):
-        w, v, u = matrices._exp_eigh(theta[rows])
-        out = fusion._outcomes(fusion._rows(u))
-        return opt._pullback(w, v, u, out, a[:, rows], b[:, rows], 0.3)
+        out = fusion._outcomes(r[..., rows])
+        return opt._pullback(r[..., rows], out, a[:, rows], b[:, rows], 0.3)
 
     batched = grad(slice(None))
-    single = np.concatenate([grad(slice(k, k + 1)) for k in range(7)])
+    single = np.concatenate([grad(slice(k, k + 1)) for k in range(7)], axis=-1)
     assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(batched))
 
 
