@@ -37,7 +37,6 @@ __all__ = [
     "haar_sample",
     "from_params",
     "params_from_matrix",
-    "random_params",
     "phase_multiply",
     "matrix_to_json",
     "matrix_from_json",
@@ -179,18 +178,17 @@ def _real(x, name: str) -> float:
     raise MalformedInputError(f"{name} must be a real number, got {x!r}")
 
 
-def _gram_schmidt(re: np.ndarray, im: np.ndarray, done: np.ndarray | None = None) -> np.ndarray:
+def _gram_schmidt(z: np.ndarray, done: np.ndarray | None = None) -> np.ndarray:
     """q, (j + k, m, B) rows first and batch last: the orthonormal rows
-    `done` (j, m, B), then the rows of z = re + i im (B, k, m) made
+    `done` (j, m, B), then the rows of the complex z (k, m, B) made
     orthonormal by classical Gram-Schmidt, applied twice per row, which
     keeps them so to machine precision (Giraud, Langou & Rozlozník, Comput.
     Math. Appl. 50, 1069, 2005).  For a square z this is z = L Q with
     diag(L) > 0, the row norms after the projections, so Q is the
     phase-fixed Q of Mezzadri (Notices AMS 54, 592, 2007), the transposed
-    Householder Q of z^T up to rounding."""
-    z = np.empty(re.shape[1:] + re.shape[:1], dtype=complex)
-    z.real, z.imag = re.transpose(1, 2, 0), im.transpose(1, 2, 0)
-    q = z if done is None else np.concatenate([done, z])
+    Householder Q of z^T up to rounding.  q is a fresh C-contiguous copy:
+    on a strided view `np.add.reduce` would round differently."""
+    q = np.ascontiguousarray(np.concatenate([z] if done is None else [done, z]), dtype=complex)
     for j in range(len(q) - len(z), len(q)):
         v = q[j]
         if j:  # project out rows 0 .. j-1, twice; np.add.reduce beats .sum at batch 1
@@ -219,7 +217,9 @@ def _haar_rows(rng, n: int, done: np.ndarray | None = None):
                 block = slice(k, k + _BLOCK)
                 im = rng.standard_normal(re[block].shape)
                 drawn += len(im)
-                yield block, _gram_schmidt(re[block], im, None if done is None else done[..., block])
+                z = np.empty(im.shape[1:] + im.shape[:1], dtype=complex)
+                z.real, z.imag = re[block].transpose(1, 2, 0), im.transpose(1, 2, 0)
+                yield block, _gram_schmidt(z, None if done is None else done[..., block])
             return
         except DegenerateSampleError:
             rng.standard_normal((n - drawn, 2, 4))  # the rest of this draw
@@ -290,22 +290,6 @@ def params_from_matrix(matrix) -> np.ndarray:
     h = 0.5 * (h + h.conj().T)  # drop the anti-Hermitian residue
     off = h[_TRIU_ROWS, _TRIU_COLS]
     return np.concatenate([h.diagonal().real, np.stack([off.real, off.imag], axis=-1).ravel()])
-
-
-def random_params(rng, size=None) -> np.ndarray:
-    """Uniform parameter draws in [-pi, pi]^16 (optimizer initialization).
-
-    `size` may be None (one vector), a non-negative int, or a tuple of them;
-    the parameter axis of length 16 is always appended last.
-    """
-    if size is None:
-        shape = ()
-    elif np.isscalar(size):
-        shape = (_count(size),)
-    else:
-        shape = tuple(_count(s) for s in size)
-    rng = np.random.default_rng(rng)
-    return rng.uniform(-np.pi, np.pi, size=shape + (16,))
 
 
 # --------------------------------------------------------------------------- #

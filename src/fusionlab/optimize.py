@@ -10,11 +10,11 @@ unitary.  A sweep over T targets is one run of it: the T x R restarts
 advance together as one numpy batch, each at its own target, and a final
 exchange ranks every target's points at every target (see `sweep`);
 `optimize` is the case T = 1.  An objective supplies only its hard value,
-its signed gap p_total - p_target (0 in threshold mode) and its phase
-schedule of per-outcome gradient weights, all at per-row targets; the
-engine owns the gradient, pool scoring, best-point tracking and the final
-merge with the builtin matrices.  Rows and per-outcome arrays are batch
-last, as `fusion._outcomes` takes them.
+its signed gap p_total - p_target (0 in threshold mode) and its per-outcome
+gradient weights at a temperature, all at per-row targets; the engine owns
+the temperatures, the gradient, pool scoring, best-point tracking and the
+final merge with the builtin matrices.  Rows, gradients and per-outcome
+arrays are batch last, as `fusion._outcomes` takes them.
 
 Gradients are exact and reverse-mode.  Every descent direction is a
 weighted sum sum_k a_k dp_k + b_k p_k dS_k (+ c dp_diag) over the six
@@ -25,7 +25,7 @@ SIAM J. Matrix Anal. Appl. 20, 303, 1998): the velocity is projected onto
 the tangent space at the rows, and the step retracted by Gram-Schmidt.
 
 P(s) is a sum of indicator terms, so its descent runs on a logistic-smoothed
-surrogate with the temperature annealed through `ANNEAL_SCHEDULE`; reported
+surrogate annealed through `ANNEAL_SCHEDULE` (`_temperatures`); reported
 values are always the hard objective, recomputed from the winning matrix.
 Expectation mode holds the probability constraint with the exact L1 penalty
 beta |p - p_target|, beta = 2, from the first iteration: the frontier's
@@ -40,10 +40,8 @@ through matrices with determinant 1/4 - O(1e-10) whose entropy rounds below
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,19 +64,8 @@ ANNEAL_SCHEDULE = (0.1, 0.01, 0.001)  # threshold surrogate temperatures, in tur
 FEASIBLE_BAND = 0.005   # |p_total - p_target| accepted as on-target
 L1_BETA = 2.0           # exact-penalty weight, > the frontier slope
 MOMENTUM = 0.9
-RETRACT_MAX = 1e6       # largest velocity entry the retraction takes, see `_run`
+RETRACT_MAX = 1e6       # largest step or velocity entry the descent takes, see `_run`
 STATES_P_FLOOR = 1e-6
-
-
-class _Phase(NamedTuple):
-    """From iteration `start` on, descend along
-    sum_k a_k dp_k + b_k p_k dS_k + c dp_diag (see `_pullback`) with the
-    per-outcome weights (a, b, c) = `weights(s, gap, target)` of the current
-    points at their per-row targets; the velocity carries over between
-    phases."""
-
-    start: int
-    weights: Callable
 
 
 @dataclass(frozen=True)
@@ -106,9 +93,9 @@ class ExpectationEntropy:
         return np.sum(out.p * out.s, axis=0), np.sum(out.p, axis=0) - target
 
     @staticmethod
-    def _phases(iterations: int):
-        """One phase: the exact L1 penalty throughout."""
-        return [_Phase(0, lambda s, gap, target: (L1_BETA * np.sign(gap) - s, -1.0, 0.0))]
+    def _weights(tau, s, gap, target):
+        """Weights (a, b, c) (see `_pullback`) of the exact L1 penalty, at any tau."""
+        return L1_BETA * np.sign(gap) - s, -1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -149,17 +136,10 @@ class ThresholdProbability:
         value = np.clip(value, 0.0, 1.0)
         return value, np.zeros_like(value)
 
-    def _phases(self, iterations: int):
-        """One equal segment of the logistic surrogate per temperature."""
-        seg = max(iterations // len(ANNEAL_SCHEDULE), 1)
-        return [
-            _Phase(k * seg, functools.partial(self._surrogate, tau))
-            for k, tau in enumerate(ANNEAL_SCHEDULE)
-        ]
-
     @staticmethod
-    def _surrogate(tau, s, gap, target):
-        """Weights that descend on -(sum p sigma((S - s) / tau) + sigma(-s / tau) p_diag),
+    def _weights(tau, s, gap, target):
+        """Weights (a, b, c) (see `_pullback`) that descend on
+        -(sum p sigma((S - s) / tau) + sigma(-s / tau) p_diag),
         the same-channel term only in rows with target s <= 0."""
         target = np.asarray(target)
         sig = _logistic((s - target) / tau)
@@ -247,13 +227,9 @@ def _states_used(matrix, s_ref: float) -> int:
 # exact gradients
 
 
-def _pairs(upper, lower=None) -> np.ndarray:
-    """(N, 4, 4) matrices holding the (6, N) `upper` at the six pairs (i, j),
-    i < j, `lower` (default `upper`) at (j, i) and zeros on the diagonal."""
-    m = np.zeros(np.shape(upper)[1:] + (4, 4), dtype=complex)
-    m[..., _PI, _PJ] = upper.T
-    m[..., _PJ, _PI] = (upper if lower is None else lower).T
-    return m
+# (4, 6) incidences that put pair terms on channels: for pair k = (i, j),
+# column k of _INC_I is the unit vector of channel i, of _INC_J that of j
+_INC_I, _INC_J = (np.eye(4)[:, p].copy() for p in (_PI, _PJ))
 
 
 def _pullback(r, out, a, b, c=0.0) -> np.ndarray:
@@ -261,29 +237,31 @@ def _pullback(r, out, a, b, c=0.0) -> np.ndarray:
     1-2 r, (2, 4, R), over the six relevant outcomes and the same-channel
     total p_diag; out = `fusion._outcomes(r)`, a and b are (6, R) or
     scalars, c (R,) or a scalar.  One vector-Jacobian product: with df that
-    sum, G = df/dRe(U) + i df/dIm(U) is built in closed form from the
-    forward pass, so that df = Re tr(G^H dU):
+    sum, G = df/dRe(r) + i df/dIm(r), (2, 4, R), is built in closed form
+    from the forward pass, so that df = Re tr(G^H dr):
 
       p_ij = 1/8 - n_i n_j / 2 - |o_ij|^2 / 2,  n_i = 1/2 - |U_1i|^2 - |U_2i|^2,
-          o_ij = U_1i conj(U_1j) + U_2i conj(U_2j), so rows 1, 2 of G are
-          U K with K_ii = sum_j a_ij n_j and K_ij = -a_ij conj(o_ij);
-      sum_i p_ii = 1/2 - sum_i n_i^2 / 2 adds 2 c n_i to K_ii;
+          o_ij = U_1i conj(U_1j) + U_2i conj(U_2j), so G_ri gets
+          sum_j a_ij (n_j U_ri - o_ij U_rj), j != i;
+      sum_i p_ii = 1/2 - sum_i n_i^2 / 2 adds 2 c n_i U_ri;
       det_ij = |top_ij top_kl|^2 / (4 p_ij)^2 with top the minors of rows
           (1, 2) and kl the pair complementary to ij (`fusion._outcomes`),
           so p dS = S'(det) (d|top_ij top_kl|^2 / (16 p) - 2 det dp), zero
-          where p = 0, with S' = `entanglement._entropy_slope`."""
+          where p = 0, with S' = `entanglement._entropy_slope`; with
+          w = (-conj(U_2), conj(U_1)), |top_ij|^2 pulls back to
+          -2 top_ij w_rj at U_ri and 2 top_ij w_ri at U_rj, i < j."""
     slope = b * entanglement._entropy_slope(out.det)
     a = a - 2.0 * slope * out.det
     live = out.p > 0.0
     e = np.where(live, slope / (8.0 * np.where(live, out.p, 1.0)), 0.0)
-    n = out.n.T[..., None]
-    k = np.eye(4) * ((_pairs(a) + 2.0 * np.asarray(c)[..., None, None] * np.eye(4)) @ n)
-    k -= _pairs(a * out.overlap.conj(), a * out.overlap)
+    n = out.n
+    k = _INC_I @ (a * n[_PJ]) + _INC_J @ (a * n[_PI]) + 2.0 * np.asarray(c) * n  # (4, R)
     # e is 2 x the weight of d|top_ij top_kl|^2, and |top_ij|^2 enters det_ij and det_kl
-    m = (e + e[::-1]) * np.abs(out.top[::-1]) ** 2 * out.top
-    u = r.transpose(2, 0, 1)
-    g = u @ k + np.stack([-u[..., 1, :].conj(), u[..., 0, :].conj()], axis=-2) @ _pairs(m, -m)
-    return g.transpose(1, 2, 0)
+    mu = (e + e[::-1]) * np.abs(out.top[::-1]) ** 2 * out.top
+    w = np.stack([-r[1].conj(), r[0].conj()])
+    ao = a * out.overlap
+    g = k * r - _INC_I @ (r[:, _PJ] * ao + w[:, _PJ] * mu)
+    return g + _INC_J @ (w[:, _PI] * mu - r[:, _PI] * ao.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +291,19 @@ def _tangent(r, x):
     return x - np.sum(sym[..., None, :] * r[None], axis=1)
 
 
-def _run(objective, r, target, phases, iterations: int, step: float):
+def _temperatures(iterations: int) -> list[float]:
+    """One surrogate temperature per iteration: `ANNEAL_SCHEDULE` in turn,
+    max(iterations // 3, 1) iterations each, the last taking the rest."""
+    seg = max(iterations // len(ANNEAL_SCHEDULE), 1)
+    return [ANNEAL_SCHEDULE[min(it // seg, len(ANNEAL_SCHEDULE) - 1)] for it in range(iterations)]
+
+
+def _run(objective, r, target, taus, step: float):
     """Momentum descent of the orthonormal rows r, (2, 4, R), each restart
-    at its own target (see the module docstring).  Returns (finals, trace):
-    per restart the best feasible point visited, or else the point closest
-    to its target, and the (iterations, R) hard values."""
+    at its own target (see the module docstring), one iteration per
+    temperature in `taus`.  Returns (finals, trace): per restart the best
+    feasible point visited, or else the point closest to its target, and
+    the (len(taus), R) hard values."""
     vel = np.zeros_like(r)
     best_value = np.full(r.shape[-1], -np.inf)
     best_r = r.copy()
@@ -332,19 +318,19 @@ def _run(objective, r, target, phases, iterations: int, step: float):
         best_gap[upd] = np.abs(gap[upd])
         best_gap_r[..., upd] = points[..., upd]
 
-    k = 0
-    trace = np.zeros((iterations, r.shape[-1]))
-    for it in range(iterations):
-        while k + 1 < len(phases) and phases[k + 1].start <= it:
-            k += 1
+    trace = np.zeros((len(taus), r.shape[-1]))
+    for it, tau in enumerate(taus):
         value, gap, out = _evaluate(objective, r, target)
         trace[it] = value
         track(r, value, gap)
-        grad = _pullback(r, out, *phases[k].weights(out.s, gap, target))
-        vel = _tangent(r, MOMENTUM * vel - step * grad)
+        grad = _pullback(r, out, *objective._weights(tau, out.s, gap, target))
+        # no step moves an entry by more than RETRACT_MAX, so vel cannot overflow
+        with np.errstate(divide="ignore"):
+            h = np.minimum(step, RETRACT_MAX / np.abs(grad).max(axis=(0, 1)))
+        vel = _tangent(r, MOMENTUM * vel - h * grad)
         # r + vel has full rank for a tangent vel, unless rounding loses r
         y = r + vel / np.maximum(1.0, np.abs(vel).max(axis=(0, 1)) / RETRACT_MAX)
-        r = matrices._gram_schmidt(y.real.transpose(2, 0, 1), y.imag.transpose(2, 0, 1))
+        r = matrices._gram_schmidt(y)
     track(r, *_evaluate(objective, r, target)[:2])
     return np.where(best_value > -np.inf, best_r, best_gap_r), trace
 
@@ -371,14 +357,14 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
     score0 = (value0 - L1_BETA * np.abs(gap0)).reshape(T, R, -1)
     starts = pool.reshape(2, 4, R, -1)[:, :, np.arange(R), np.argmax(score0, axis=-1)]
 
-    phases = obj._phases(cfg.iterations)
     target = np.repeat(targets, R)
-    finals, trace = _run(obj, starts.reshape(2, 4, T * R), target, phases, cfg.iterations, cfg.step)
+    taus = _temperatures(cfg.iterations)
+    finals, trace = _run(obj, starts.reshape(2, 4, T * R), target, taus, cfg.step)
 
     handed = np.empty((2, 4, 0), dtype=complex)
     if T > 1:
         # hand-off round: every target descends again from the round-1
-        # winners of its two sorted neighbours, in the last phase
+        # winners of its two sorted neighbours, at the last temperature
         value1, gap1, _ = _evaluate(obj, finals, target)
         value1, gap1 = value1.reshape(T, R), gap1.reshape(T, R)
         best = [_rank(value1[t], gap1[t], np.abs(gap1[t]) <= FEASIBLE_BAND) for t in range(T)]
@@ -386,9 +372,8 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
         order = np.argsort(targets, kind="stable")
         src = np.concatenate([order[:-1], order[1:]])
         dst = np.concatenate([order[1:], order[:-1]])
-        handed, _ = _run(
-            obj, winners[..., src], targets[dst], phases[-1:], cfg.iterations // 3, cfg.step
-        )
+        taus = [ANNEAL_SCHEDULE[-1]] * (cfg.iterations // 3)
+        handed, _ = _run(obj, winners[..., src], targets[dst], taus, cfg.step)
 
     # final exchange: the builtins and every final point, ranked at every target
     names = matrices.BUILTIN_NAMES
@@ -457,8 +442,8 @@ def sweep(kind: str, targets, config: OptimizerConfig | None = None) -> list[dic
     All targets share one candidate pool, drawn from `master_seed` as in
     `optimize`, and their restarts descend together as one batch.  With two
     or more targets a hand-off round follows: each target descends for a
-    third of the iterations, in the objective's last phase (expectation
-    mode has only the one) with fresh momentum, from the round-1 winners of
+    third of the iterations, at the last annealing temperature (expectation
+    mode has none) with fresh momentum, from the round-1 winners of
     its neighbours in sorted target order.  Finally the builtins and every
     final point of both rounds are scored at every target, and each target
     ranks all of them.  So a matrix found for one target counts for every

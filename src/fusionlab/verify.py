@@ -74,7 +74,7 @@ def _suite_unitarity(rng, trials, fault):
     u = np.concatenate(
         [
             matrices.haar_sample(rng, size=n),
-            matrices.from_params(matrices.random_params(rng, size=n)),
+            matrices.from_params(rng.uniform(-np.pi, np.pi, (n, 16))),
         ]
     )
     eye = np.eye(4)
@@ -375,7 +375,8 @@ def _suite_threshold_bounds(rng, trials, fault):
     base = matrices.builtin("blockpair")
     for _ in range(min(max(trials // 10, 5), 50)):
         # four Haar-random 2x2 unitaries, placed as two block-diagonal pairs
-        blocks = matrices._gram_schmidt(*rng.normal(size=(2, 4, 2, 2))).transpose(2, 0, 1)
+        re, im = rng.normal(size=(2, 4, 2, 2))
+        blocks = matrices._gram_schmidt((re + 1j * im).transpose(1, 2, 0)).transpose(2, 0, 1)
         left, right = np.zeros((2, 4, 4), dtype=complex)
         left[:2, :2], left[2:, 2:], right[:2, :2], right[2:, 2:] = blocks
         um = left @ base @ right

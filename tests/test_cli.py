@@ -257,6 +257,16 @@ def test_optimize_tiny_expectation_run(tmp_path):
     assert (tmp_path / "best_expectation_p0.5.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_optimize_extreme_step_is_quiet(tmp_path, capsys):
+    """--step 1e308 once overflowed the velocity: RuntimeWarnings on stderr."""
+    code = main(["optimize", "threshold", "--s-target", "0.4", "--step", "1e308",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "sweep_threshold.csv").exists()
+
+
 def test_optimize_flag_validation(tmp_path, capsys):
     # missing targets
     assert main(["optimize", "expectation", "--out", str(tmp_path)]) == 2

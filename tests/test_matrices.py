@@ -78,6 +78,11 @@ def test_haar_moment():
     assert np.abs(mean - 0.25).max() < 0.006
 
 
+def _ginibre(rng, shape):
+    """Complex normals, all real parts drawn first, then the imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _householder_q(z):
     """Reference: numpy's Householder QR with R's diagonal made real and positive."""
     q, r = np.linalg.qr(z)
@@ -98,15 +103,16 @@ def _unitarity_defect(u):
 @pytest.mark.parametrize("m", [2, 4])
 def test_haar_qr_matches_householder(m):
     rng = np.random.default_rng(m)
-    re, im = rng.standard_normal((2, 3000, m, m))
-    q = matrices._gram_schmidt(re, im)
-    assert q.shape == (m, m, 3000)  # rows first, batch last
+    g = _ginibre(rng, (3000, m, m))
+    z = np.ascontiguousarray(g.transpose(1, 2, 0))  # rows first, batch last
+    q = matrices._gram_schmidt(z)
+    assert q.shape == (m, m, 3000)
     q = q.transpose(2, 0, 1)
-    assert np.abs(q - _householder_rows(re + 1j * im)).max() <= 1e-10
+    assert np.abs(q - _householder_rows(g)).max() <= 1e-10
     assert _unitarity_defect(q) <= 1e-14
     # completing the first rows gives the same rows as one pass
-    top = matrices._gram_schmidt(re[:, :1], im[:, :1])
-    rest = matrices._gram_schmidt(re[:, 1:], im[:, 1:], top)
+    top = matrices._gram_schmidt(z[:1])
+    rest = matrices._gram_schmidt(z[1:], top)
     assert rest.shape == (m, m, 3000) and np.array_equal(rest[:1], top)
     assert np.abs(rest.transpose(2, 0, 1) - q).max() <= 1e-10
 
@@ -134,11 +140,11 @@ def test_haar_sample_redraw_follows_the_whole_failed_draw(monkeypatch):
     imaginary parts of the later blocks included, ends in the stream."""
     real_gs, calls = matrices._gram_schmidt, []
 
-    def second_block_degenerate(re, im, done=None):
-        calls.append(len(re))
+    def second_block_degenerate(z, done=None):
+        calls.append(z.shape[-1])
         if len(calls) == 2:
             raise matrices.DegenerateSampleError("forced")
-        return real_gs(re, im, done)
+        return real_gs(z, done)
 
     n = 2 * B + 5
     monkeypatch.setattr(matrices, "_gram_schmidt", second_block_degenerate)
@@ -146,19 +152,31 @@ def test_haar_sample_redraw_follows_the_whole_failed_draw(monkeypatch):
     assert calls == [B, B] + [B, B, 5] * 2  # stage 1 twice, then stage 2
     rng = np.random.default_rng(8)
     rng.standard_normal((2, n, 2, 4))  # the failed draw
-    top = real_gs(*rng.standard_normal((2, n, 2, 4)))
-    rows = real_gs(*rng.standard_normal((2, n, 2, 4)), top)
+    top = real_gs(_ginibre(rng, (n, 2, 4)).transpose(1, 2, 0))
+    rows = real_gs(_ginibre(rng, (n, 2, 4)).transpose(1, 2, 0), top)
     np.testing.assert_array_equal(u, rows.transpose(2, 0, 1))
 
 
 def test_haar_qr_rejects_rank_deficient_input():
-    re, im = np.random.default_rng(4).standard_normal((2, 5, 4, 4))
-    re[3, 2], im[3, 2] = re[3, 0], im[3, 0]  # one matrix with two equal rows
+    z = _ginibre(np.random.default_rng(4), (4, 4, 5))
+    z[2, :, 3] = z[0, :, 3]  # one matrix with two equal rows
     with pytest.raises(matrices.DegenerateSampleError):
-        matrices._gram_schmidt(re, im)
-    done = matrices._gram_schmidt(re[:, :2], im[:, :2])
+        matrices._gram_schmidt(z)
+    done = matrices._gram_schmidt(z[:2])
     with pytest.raises(matrices.DegenerateSampleError):
-        matrices._gram_schmidt(re[:, 2:], im[:, 2:], done)  # a new row in the span of done
+        matrices._gram_schmidt(z[2:], done)  # a new row in the span of done
+
+
+def test_gram_schmidt_ignores_input_layout():
+    """A strided view and its contiguous copy give the same bits."""
+    g = _ginibre(np.random.default_rng(6), (B + 5, 4, 4))
+    view = g.transpose(1, 2, 0)
+    assert not view.flags.c_contiguous
+    q = matrices._gram_schmidt(view)
+    np.testing.assert_array_equal(q, matrices._gram_schmidt(np.ascontiguousarray(view)))
+    np.testing.assert_array_equal(
+        matrices._gram_schmidt(view[2:], q[:2]), matrices._gram_schmidt(view[2:].copy(), q[:2])
+    )
 
 
 @pytest.mark.parametrize("fails", [2, 5])
@@ -170,12 +188,12 @@ def test_haar_sample_redraws_degenerate_samples(monkeypatch, fails):
     for stage in (1, 2):
         draws = []
 
-        def degenerate_first(re, im, done=None):
+        def degenerate_first(z, done=None):
             if (done is None) == (stage == 1):
-                draws.append(re.copy())
+                draws.append(z.copy())
                 if len(draws) <= fails:
                     raise matrices.DegenerateSampleError("forced")
-            return real_gs(re, im, done)
+            return real_gs(z, done)
 
         monkeypatch.setattr(matrices, "_gram_schmidt", degenerate_first)
         if fails >= 5:
@@ -193,14 +211,11 @@ def test_haar_sample_redraws_degenerate_samples(monkeypatch, fails):
 def test_sample_counts_must_be_non_negative_integers(size):
     with pytest.raises(matrices.MalformedInputError):
         matrices.haar_sample(np.random.default_rng(0), size=size)
-    for shape in (size, (2, size)):
-        with pytest.raises(matrices.MalformedInputError):
-            matrices.random_params(np.random.default_rng(0), size=shape)
 
 
 def test_from_params_unitary_and_batch():
     rng = np.random.default_rng(3)
-    theta = matrices.random_params(rng, size=(5, 7))
+    theta = rng.uniform(-np.pi, np.pi, (5, 7, 16))
     u = matrices.from_params(theta)
     assert u.shape == (5, 7, 4, 4)
     defect = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max()
@@ -217,15 +232,6 @@ def test_params_round_trip():
         u = matrices.haar_sample(rng)
         v = matrices.from_params(matrices.params_from_matrix(u))
         assert np.abs(u - v).max() < 1e-10
-
-
-def test_random_params_range_and_shapes():
-    rng = np.random.default_rng(1)
-    p = matrices.random_params(rng)
-    assert p.shape == (16,)
-    p = matrices.random_params(rng, size=9)
-    assert p.shape == (9, 16)
-    assert np.abs(p).max() <= np.pi
 
 
 def test_phase_multiply_preserves_unitarity():

@@ -106,9 +106,8 @@ def test_determinism():
     assert a.hard_value == b.hard_value
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_result_bookkeeping():
-    # a huge step once crashed in the eigendecomposition of the generator
+    # a huge step once crashed the descent, and later overflowed its velocity
     for step in (TINY.step, 1e308):
         cfg = dataclasses.replace(TINY, step=step)
         res = opt.optimize(ThresholdProbability(s_target_bits=0.4), cfg)
@@ -125,7 +124,6 @@ def test_result_bookkeeping():
         assert res.hard_value >= 0.5 - 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_descent_stays_on_orthonormal_rows(monkeypatch):
     """Every final point of both descent rounds has orthonormal rows, and
     every winner, completed to 4 x 4, is unitary; also after a step so
@@ -153,6 +151,17 @@ def test_descent_stays_on_orthonormal_rows(monkeypatch):
     for res in results:
         u = matrices.validate_unitary(res.best_matrix)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "iterations, segments",
+    [(1, [1, 0, 0]), (2, [1, 1, 0]), (3, [1, 1, 1]), (7, [2, 2, 3]), (1000, [333, 333, 334])],
+)
+def test_temperature_schedule(iterations, segments):
+    """`ANNEAL_SCHEDULE` in turn, max(iterations // 3, 1) iterations each,
+    the last temperature taking the rest."""
+    taus = opt._temperatures(iterations)
+    assert taus == [tau for tau, k in zip(ANNEAL_SCHEDULE, segments) for _ in range(k)]
 
 
 def test_threshold_knife_edge_prefers_exact_builtin():
@@ -211,10 +220,9 @@ def test_expectation_infeasible_fallback(p_target):
     res = opt.optimize(ExpectationEntropy(p_target=p_target), cfg)
     r = fusion._rows(_pool_starts(cfg, p_target))
     s_w, gap_w, out = opt._evaluate(ExpectationEntropy, r, p_target)
-    (phase,) = ExpectationEntropy._phases(cfg.iterations)
-    grad = opt._pullback(r, out, *phase.weights(out.s, gap_w, p_target))
-    y = r + opt._tangent(r, -cfg.step * grad)
-    end = matrices._gram_schmidt(y.real.transpose(2, 0, 1), y.imag.transpose(2, 0, 1))
+    (tau,) = opt._temperatures(cfg.iterations)
+    grad = opt._pullback(r, out, *ExpectationEntropy._weights(tau, out.s, gap_w, p_target))
+    end = matrices._gram_schmidt(r + opt._tangent(r, -cfg.step * grad))
     gap_e = opt._evaluate(ExpectationEntropy, end, p_target)[1]
     p_b = fusion.total_relevant_probability(
         np.stack([matrices.builtin(nm) for nm in matrices.BUILTIN_NAMES])
@@ -458,7 +466,7 @@ def _assert_matches_fd(grad, f, u):
 def _gradient_points(group):
     rng = np.random.default_rng(2024)
     if group == "random":
-        return matrices.from_params(matrices.random_params(rng, size=6))
+        return matrices.from_params(rng.uniform(-np.pi, np.pi, (6, 16)))
     base = matrices.params_from_matrix(matrices.builtin(group))
     return matrices.from_params(base + NEAR_BUILTIN[group] * rng.normal(size=(4, 16)))
 
@@ -518,12 +526,12 @@ def test_expectation_gradient_matches_finite_differences(group):
 @pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
 @pytest.mark.parametrize("s_target", [0.0, 0.5, 1.0])
 def test_threshold_gradient_matches_finite_differences(group, s_target):
-    """The surrogate phases' weights pull back to minus the surrogate's gradient."""
+    """The surrogate's weights pull back to minus its gradient at every temperature."""
     u = _gradient_points(group)
     obj = ThresholdProbability(s_target_bits=s_target)
     masks = [
         _assert_matches_fd(
-            -_grad_at(u, lambda s: obj._surrogate(tau, s, None, s_target)),
+            -_grad_at(u, lambda s: obj._weights(tau, s, None, s_target)),
             lambda x: _smooth_threshold(x, s_target, tau),
             u,
         )
@@ -558,8 +566,8 @@ def test_outcome_derivatives_near_builtins(name):
 
 
 def test_gradients_finite_at_builtins():
-    """Exact builtins sit on p = 0 outcomes and det in {0, 1/4}; every
-    phase's gradient of both objectives stays finite."""
+    """Exact builtins sit on p = 0 outcomes and det in {0, 1/4}; the
+    gradient of both objectives stays finite at every temperature."""
     names = matrices.BUILTIN_NAMES
     r = fusion._rows(np.stack([matrices.builtin(nm) for nm in names]))
     objectives = [ExpectationEntropy(p_target=0.75)]
@@ -568,8 +576,8 @@ def test_gradients_finite_at_builtins():
         target = np.full(len(names), obj._target)
         _, gap, out = opt._evaluate(obj, r, target)
         assert set(out.p[:, names.index("identity")]) == {0.0, 0.25}
-        for phase in obj._phases(30):
-            g = opt._pullback(r, out, *phase.weights(out.s, gap, target))
+        for tau in ANNEAL_SCHEDULE:
+            g = opt._pullback(r, out, *obj._weights(tau, out.s, gap, target))
             assert g.shape == (2, 4, len(names))
             assert np.all(np.isfinite(g))
 
