@@ -11,7 +11,7 @@ single number: the eigenvalue pair (1 +- sqrt(1 - 4 det)) / 2, the
 entanglement entropy, and the Schmidt coefficients.  det = 1/4 characterizes
 maximal entanglement; det = 0 a product state.
 The batched functions wrap the batch-last kernel `fusion._outcomes`, which
-applies these elementwise closed forms to its (6, ...) determinants.
+clips its (6, ...) determinants itself and skips `entropy_from_det`'s check.
 """
 from __future__ import annotations
 
@@ -104,6 +104,11 @@ def determinants_from_matrix(matrix) -> np.ndarray:
     return _batch_first(_outcomes(_rows(matrix)).det)
 
 
+def _snapped_root(d: np.ndarray) -> np.ndarray:
+    """sqrt(1 - 4 det) of determinants already in [0, DET_MAX], snapped per BOUNDARY_SNAP."""
+    return np.sqrt(1.0 - 4.0 * np.where(DET_MAX - d <= BOUNDARY_SNAP, DET_MAX, d))
+
+
 def eigenvalues_from_det(det):
     """Eigenvalue pair (lam+, lam-) of a 2x2 density matrix from its determinant.
 
@@ -116,9 +121,7 @@ def eigenvalues_from_det(det):
     if np.any(d < -RANGE_TOL) or np.any(d > DET_MAX + RANGE_TOL):
         bad = float(d.min()) if np.any(d < -RANGE_TOL) else float(d.max())
         raise OutOfRangeError(f"determinant {bad!r} outside [0, 1/4]")
-    d = np.clip(d, 0.0, DET_MAX)
-    d = np.where(DET_MAX - d <= BOUNDARY_SNAP, DET_MAX, d)
-    root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * d))
+    root = _snapped_root(np.clip(d, 0.0, DET_MAX))
     lam_hi = 0.5 * (1.0 + root)
     lam_lo = 0.5 * (1.0 - root)
     if np.ndim(det) == 0:
@@ -148,22 +151,20 @@ def entropy_from_det(det):
     return entropy(lam_hi)
 
 
-def _entropy_slope(det):
-    """dS/ddet in bits: log2(lam+ / lam-) / sqrt(1 - 4 det), elementwise.
+def _entropy_slope(d: np.ndarray) -> np.ndarray:
+    """dS/ddet in bits: log2(lam+ / lam-) / sqrt(1 - 4 det) of d in [0, DET_MAX].
 
-    lam+ / lam- is taken as lam+^2 / det, floored at the smallest normal
-    float so that product states (det = 0) keep a finite slope.  Near
-    det = 1/4 the series 2 (1 + r^2 / 3) / ln 2 in r = sqrt(1 - 4 det)
-    replaces the 0/0 quotient; its truncation error at the switch r = 1e-4
-    is below 1e-16.
+    lam+ / lam- is taken as lam+^2 / det, det floored at the smallest normal
+    float so that product states keep a finite slope.  Near det = 1/4 the
+    series 2 (1 + r^2 / 3) / ln 2 in r^2 = x = 1 - 4 det replaces the 0/0
+    quotient; its truncation error at the switch r = 1e-4 is below 1e-16.
     """
-    d = np.clip(np.asarray(det, dtype=float), 0.0, DET_MAX)
-    root = np.sqrt(1.0 - 4.0 * d)
+    x = 1.0 - 4.0 * d
+    root = np.sqrt(x)
     near = root < 1e-4
-    lam_hi = 0.5 * (1.0 + root)
-    log_ratio = np.log(lam_hi**2 / np.maximum(d, np.finfo(float).tiny))
-    slope = np.where(near, 2.0 * (1.0 + root**2 / 3.0), log_ratio / np.where(near, 1.0, root))
-    return slope / _LN2
+    lam_hi2 = (0.5 * (1.0 + root)) ** 2
+    slope = np.log2(lam_hi2 / np.maximum(d, np.finfo(float).tiny)) / np.where(near, 1.0, root)
+    return np.where(near, 2.0 / _LN2 + x * (2.0 / (3.0 * _LN2)), slope)
 
 
 def entropies_from_matrix(matrix) -> np.ndarray:

@@ -126,18 +126,19 @@ def channel_invariants(matrix) -> ChannelInvariants:
 # --------------------------------------------------------------------------- #
 
 def _check_and_clamp(p: np.ndarray, upper: float) -> np.ndarray:
-    if (p < -PROB_CLAMP).any() or (p > upper + PROB_CLAMP).any():
-        bad = float(np.min(p)) if (p < -PROB_CLAMP).any() else float(np.max(p))
+    lo, hi = np.fmin.reduce(p, None, initial=np.inf), np.fmax.reduce(p, None, initial=-np.inf)
+    if lo < -PROB_CLAMP or hi > upper + PROB_CLAMP:
+        bad = float(lo if lo < -PROB_CLAMP else hi)
         raise InconsistentProbabilityError(
             f"probability {bad!r} outside [0, {upper}] beyond rounding tolerance"
         )
-    return np.clip(p, 0.0, upper)
+    return np.minimum(np.maximum(p, 0.0), upper)
 
 
 # the kernel's output, batch last: m and n (4, ...); the overlaps o_ij =
-# U_1i conj(U_1j) + U_2i conj(U_2j), p, the minors of rows (1, 2), det and
-# S in bits (6, ...); the last three None if it stops after p
-_Outcomes = namedtuple("_Outcomes", "m n overlap p top det s")
+# U_1i conj(U_1j) + U_2i conj(U_2j), p, |top|^2 of the minors of rows
+# (1, 2), det and S in bits (6, ...); the last three None if it stops after p
+_Outcomes = namedtuple("_Outcomes", "m n overlap p top2 det s")
 
 
 def _rows(matrix) -> np.ndarray:
@@ -169,8 +170,9 @@ def _outcomes(r: np.ndarray, entropies: bool = True) -> _Outcomes:
     top2 = top.real**2 + top.imag**2
     with np.errstate(divide="ignore", invalid="ignore"):
         det = np.where(p > 0.0, top2 * top2[::-1] / np.maximum(4.0 * p, 1e-300) ** 2, 0.0)
-    det = np.clip(det, 0.0, entanglement.DET_MAX)
-    return _Outcomes(m, n, overlap, p, top, det, entanglement.entropy_from_det(det))
+    det = np.minimum(det, entanglement.DET_MAX)  # det >= 0: top2 >= 0, p > 0
+    s = entanglement.entropy(0.5 * (1.0 + entanglement._snapped_root(det)))
+    return _Outcomes(m, n, overlap, p, top2, det, s)
 
 
 def _diag(m: np.ndarray) -> np.ndarray:

@@ -188,7 +188,7 @@ def _gram_schmidt(z: np.ndarray, done: np.ndarray | None = None) -> np.ndarray:
     phase-fixed Q of Mezzadri (Notices AMS 54, 592, 2007), the transposed
     Householder Q of z^T up to rounding.  q is a fresh C-contiguous copy:
     on a strided view `np.add.reduce` would round differently."""
-    q = np.ascontiguousarray(np.concatenate([z] if done is None else [done, z]), dtype=complex)
+    q = np.array(z if done is None else np.concatenate([done, z]), dtype=complex, order="C")
     for j in range(len(q) - len(z), len(q)):
         v = q[j]
         if j:  # project out rows 0 .. j-1, twice; np.add.reduce beats .sum at batch 1

@@ -19,10 +19,11 @@ arrays are batch last, as `fusion._outcomes` takes them.
 Gradients are exact and reverse-mode.  Every descent direction is a
 weighted sum sum_k a_k dp_k + b_k p_k dS_k (+ c dp_diag) over the six
 relevant outcomes, so the engine builds its gradient with respect to rows
-1-2 in closed form from the forward pass (`_pullback`).  The descent is
-momentum descent on the complex Stiefel manifold (Edelman, Arias & Smith,
-SIAM J. Matrix Anal. Appl. 20, 303, 1998): the velocity is projected onto
-the tangent space at the rows, and the step retracted by Gram-Schmidt.
+1-2 in closed form from the forward pass, as those rows times a Hermitian
+4x4 matrix per restart (`_pullback`).  The descent is momentum descent on
+the complex Stiefel manifold (Edelman, Arias & Smith, SIAM J. Matrix Anal.
+Appl. 20, 303, 1998): the velocity is projected onto the tangent space at
+the rows, and the step retracted by Gram-Schmidt.
 
 P(s) is a sum of indicator terms, so its descent runs on a logistic-smoothed
 surrogate annealed through `ANNEAL_SCHEDULE` (`_temperatures`); reported
@@ -64,7 +65,7 @@ ANNEAL_SCHEDULE = (0.1, 0.01, 0.001)  # threshold surrogate temperatures, in tur
 FEASIBLE_BAND = 0.005   # |p_total - p_target| accepted as on-target
 L1_BETA = 2.0           # exact-penalty weight, > the frontier slope
 MOMENTUM = 0.9
-RETRACT_MAX = 1e6       # largest step or velocity entry the descent takes, see `_run`
+RETRACT_MAX = 1e6       # largest step entry the descent takes, see `_run`
 STATES_P_FLOOR = 1e-6
 
 
@@ -90,7 +91,7 @@ class ExpectationEntropy:
     def _score(out, target):
         """Hard <S> and the signed gap p_total - target, per row of the
         kernel output `out`; the same-channel outcomes carry S = 0."""
-        return np.sum(out.p * out.s, axis=0), np.sum(out.p, axis=0) - target
+        return np.add.reduce(out.p * out.s, 0), np.add.reduce(out.p, 0) - target
 
     @staticmethod
     def _weights(tau, s, gap, target):
@@ -129,11 +130,11 @@ class ThresholdProbability:
         target <= 0.  Every point is on target, so the gap is 0."""
         target = np.asarray(target)
         hit = out.s >= (target[..., None, :] if target.ndim else target)
-        value = np.sum(np.where(hit, out.p, 0.0), axis=-out.s.ndim)
-        if np.any(target <= 0.0):
-            p_diag = np.sum(fusion._diag(out.m), axis=0)
+        value = np.add.reduce(np.where(hit, out.p, 0.0), -out.s.ndim)
+        if (target <= 0.0).any():
+            p_diag = np.add.reduce(fusion._diag(out.m), 0)
             value = value + np.where(target <= 0.0, p_diag, 0.0)
-        value = np.clip(value, 0.0, 1.0)
+        value = np.minimum(np.maximum(value, 0.0), 1.0)
         return value, np.zeros_like(value)
 
     @staticmethod
@@ -215,20 +216,14 @@ def threshold_probability(matrix, s_target_bits: float):
 
 
 def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
-
-
-def _states_used(matrix, s_ref: float) -> int:
-    out = fusion._outcomes(fusion._rows(matrix))
-    return int(np.sum((out.p > STATES_P_FLOOR) & (out.s >= s_ref - 1e-9)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
 # ---------------------------------------------------------------------------
 # exact gradients
 
 
-# (4, 6) incidences that put pair terms on channels: for pair k = (i, j),
-# column k of _INC_I is the unit vector of channel i, of _INC_J that of j
+# (4, 6) incidences: column k = (i, j) of _INC_I is channel i's unit vector, of _INC_J j's
 _INC_I, _INC_J = (np.eye(4)[:, p].copy() for p in (_PI, _PJ))
 
 
@@ -236,32 +231,32 @@ def _pullback(r, out, a, b, c=0.0) -> np.ndarray:
     """sum_k a_k dp_k + b_k p_k dS_k + c dp_diag with respect to the rows
     1-2 r, (2, 4, R), over the six relevant outcomes and the same-channel
     total p_diag; out = `fusion._outcomes(r)`, a and b are (6, R) or
-    scalars, c (R,) or a scalar.  One vector-Jacobian product: with df that
-    sum, G = df/dRe(r) + i df/dIm(r), (2, 4, R), is built in closed form
-    from the forward pass, so that df = Re tr(G^H dr):
-
-      p_ij = 1/8 - n_i n_j / 2 - |o_ij|^2 / 2,  n_i = 1/2 - |U_1i|^2 - |U_2i|^2,
-          o_ij = U_1i conj(U_1j) + U_2i conj(U_2j), so G_ri gets
-          sum_j a_ij (n_j U_ri - o_ij U_rj), j != i;
-      sum_i p_ii = 1/2 - sum_i n_i^2 / 2 adds 2 c n_i U_ri;
-      det_ij = |top_ij top_kl|^2 / (4 p_ij)^2 with top the minors of rows
-          (1, 2) and kl the pair complementary to ij (`fusion._outcomes`),
-          so p dS = S'(det) (d|top_ij top_kl|^2 / (16 p) - 2 det dp), zero
-          where p = 0, with S' = `entanglement._entropy_slope`; with
-          w = (-conj(U_2), conj(U_1)), |top_ij|^2 pulls back to
-          -2 top_ij w_rj at U_ri and 2 top_ij w_ri at U_rj, i < j."""
+    scalars, c (R,) or a scalar.  One vector-Jacobian product: G =
+    df/dRe(r) + i df/dIm(r), (2, 4, R), with df = Re tr(G^H dr) that sum.
+    Each term is a function of the Gram matrix of the columns r_i = r[:, i]:
+    p_ij = 1/8 - n_i n_j / 2 - |o_ij|^2 / 2 with n_i = 1/2 - m_i, m_i =
+    |r_i|^2, sum_i p_ii = 1/2 - sum_i n_i^2 / 2, and det_ij = t_ij t_kl /
+    (4 p_ij)^2 (kl the complement of ij) with t_ij = |top_ij|^2 = m_i m_j -
+    |o_ij|^2 by the Cauchy-Binet formula (Horn & Johnson, Matrix Analysis,
+    0.8.7).  So p dS = S' (d(t_ij t_kl) / (16 p) - 2 det dp), zero where
+    p = 0, with S' = `entanglement._entropy_slope` of det; with a' = a -
+    2 b S' det, e = b S' / (8 p) and T_k = t_{5-k} (e_k + e_{5-k}), 2 df =
+    sum_i W_ii dm_i - sum_{i<j} (a'_ij + T_ij) d|o_ij|^2, W_ii = sum_{j != i}
+    (a'_ij n_j + T_ij m_j) + 2 c n_i.  dm_i pulls back to 2 r_i at column i,
+    d|o_ij|^2 to 2 o_ij r_j at i and 2 conj(o_ij) r_i at j: G = r W, G_si =
+    sum_j r_sj W_ji, with the Hermitian (4, 4, R) W_ij = -(a'_ij + T_ij) conj(o_ij)."""
     slope = b * entanglement._entropy_slope(out.det)
     a = a - 2.0 * slope * out.det
     live = out.p > 0.0
     e = np.where(live, slope / (8.0 * np.where(live, out.p, 1.0)), 0.0)
-    n = out.n
-    k = _INC_I @ (a * n[_PJ]) + _INC_J @ (a * n[_PI]) + 2.0 * np.asarray(c) * n  # (4, R)
-    # e is 2 x the weight of d|top_ij top_kl|^2, and |top_ij|^2 enters det_ij and det_kl
-    mu = (e + e[::-1]) * np.abs(out.top[::-1]) ** 2 * out.top
-    w = np.stack([-r[1].conj(), r[0].conj()])
-    ao = a * out.overlap
-    g = k * r - _INC_I @ (r[:, _PJ] * ao + w[:, _PJ] * mu)
-    return g + _INC_J @ (w[:, _PI] * mu - r[:, _PI] * ao.conj())
+    t = out.top2[::-1] * (e + e[::-1])
+    w = np.empty((4, 4) + out.m.shape[1:], dtype=complex)
+    w_ii = _INC_I @ (a * out.n[_PJ] + t * out.m[_PJ]) + _INC_J @ (a * out.n[_PI] + t * out.m[_PI])
+    w.reshape((16,) + out.m.shape[1:])[::5] = w_ii + 2.0 * c * out.n  # the diagonal
+    off = (-a - t) * out.overlap
+    w[_PI, _PJ] = off.conj()
+    w[_PJ, _PI] = off
+    return np.add.reduce(r[:, :, None] * w, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +281,9 @@ def _rank(value, gap, feasible) -> int:
 def _tangent(r, x):
     """x projected onto the tangent space at the orthonormal rows r, both
     (2, 4, R): x - sym(x r^H) r, sym(y) = (y + y^H) / 2."""
-    xr = np.sum(x[:, None] * r.conj(), axis=2)
+    xr = np.add.reduce(x[:, None] * r.conj(), 2)
     sym = 0.5 * (xr + xr.conj().transpose(1, 0, 2))
-    return x - np.sum(sym[..., None, :] * r[None], axis=1)
+    return x - np.add.reduce(sym[..., None, :] * r[None], 1)
 
 
 def _temperatures(iterations: int) -> list[float]:
@@ -311,12 +306,13 @@ def _run(objective, r, target, taus, step: float):
     best_gap_r = r.copy()
 
     def track(points, value, gap):
-        upd = (np.abs(gap) <= FEASIBLE_BAND) & (value > best_value)
-        best_value[upd] = value[upd]
-        best_r[..., upd] = points[..., upd]
-        upd = np.abs(gap) < best_gap
-        best_gap[upd] = np.abs(gap[upd])
-        best_gap_r[..., upd] = points[..., upd]
+        gap = np.abs(gap)
+        upd = (gap <= FEASIBLE_BAND) & (value > best_value)
+        np.copyto(best_value, value, where=upd)
+        np.copyto(best_r, points, where=upd)
+        upd = gap < best_gap
+        np.copyto(best_gap, gap, where=upd)
+        np.copyto(best_gap_r, points, where=upd)
 
     trace = np.zeros((len(taus), r.shape[-1]))
     for it, tau in enumerate(taus):
@@ -324,13 +320,12 @@ def _run(objective, r, target, taus, step: float):
         trace[it] = value
         track(r, value, gap)
         grad = _pullback(r, out, *objective._weights(tau, out.s, gap, target))
-        # no step moves an entry by more than RETRACT_MAX, so vel cannot overflow
+        # no entry of h * grad exceeds RETRACT_MAX, and the projection never
+        # lengthens vel, so it stays within a few tens of RETRACT_MAX
         with np.errstate(divide="ignore"):
             h = np.minimum(step, RETRACT_MAX / np.abs(grad).max(axis=(0, 1)))
         vel = _tangent(r, MOMENTUM * vel - h * grad)
-        # r + vel has full rank for a tangent vel, unless rounding loses r
-        y = r + vel / np.maximum(1.0, np.abs(vel).max(axis=(0, 1)) / RETRACT_MAX)
-        r = matrices._gram_schmidt(y)
+        r = matrices._gram_schmidt(r + vel)
     track(r, *_evaluate(objective, r, target)[:2])
     return np.where(best_value > -np.inf, best_r, best_gap_r), trace
 
@@ -400,12 +395,14 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
         else:
             winner_restart = _rank(v[own], g[own], f[own])
         best_matrix = mats[pick] if pick < B else _complete(points[..., pick], cfg.master_seed)
+        # the outcomes of best_matrix: its rows 1-2 are points[..., pick]
+        used = (out.p[:, pick] > STATES_P_FLOOR) & (out.s[:, pick] >= objective._s_floor - 1e-9)
         results.append(
             OptResult(
                 best_matrix=best_matrix,
                 hard_value=float(v[pick]),
                 trace=tuple(float(x) for x in trace[:, t * R + winner_restart]),
-                states_used=_states_used(best_matrix, objective._s_floor),
+                states_used=int(np.count_nonzero(used)),
                 restart_values=tuple(float(x) for x in v[own]),
                 p_total=float(p_total[pick]),
                 feasible=bool(f[pick]),

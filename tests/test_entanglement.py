@@ -180,3 +180,32 @@ def test_determinant_from_matrix_single():
         assert entanglement.determinant(table.get(i, j)) == pytest.approx(
             U5_DETS[idx], abs=1e-14
         )
+
+
+def _near_builtins(rng, scale, count=50):
+    """Unitary polar factors of the builtins plus scale * complex Ginibre noise."""
+    b = np.stack([matrices.builtin(nm) for nm in matrices.BUILTIN_NAMES])
+    x = b[rng.integers(0, len(b), count)]
+    x = x + scale * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    w, _, vh = np.linalg.svd(x)
+    return w @ vh
+
+
+@pytest.mark.parametrize("batch", ["haar", "builtins", "near-builtins"])
+def test_kernel_entropies_equal_the_checked_route(batch):
+    """The kernel clips det itself and takes S through the unchecked entropy
+    core; its p, det and S are bit for bit those of the public, checked
+    route: relevant_probabilities, determinants_from_matrix and
+    entropy_from_det of that det."""
+    rng = np.random.default_rng(41)
+    if batch == "haar":
+        u = matrices.haar_sample(rng, size=3000)
+    elif batch == "builtins":
+        u = np.stack([matrices.builtin(nm) for nm in matrices.BUILTIN_NAMES])
+    else:
+        u = np.concatenate([_near_builtins(rng, 10.0**-k) for k in range(4, 11)])
+    out = fusion._outcomes(fusion._rows(u))
+    p, det, s = (x.T for x in (out.p, out.det, out.s))
+    np.testing.assert_array_equal(p, fusion.relevant_probabilities(u))
+    np.testing.assert_array_equal(det, entanglement.determinants_from_matrix(u))
+    np.testing.assert_array_equal(s, entanglement.entropy_from_det(det))

@@ -170,3 +170,19 @@ def test_coefficients_phase_covariance():
 def test_outcome_table_rejects_non_unitary():
     with pytest.raises(matrices.NotUnitaryError):
         fusion.outcome_table(np.eye(4) * 1.01)
+
+
+def test_check_and_clamp_bounds():
+    """Values within PROB_CLAMP of [0, upper] are clamped onto it, values
+    further out raise, and NaN passes through, also next to a valid value;
+    a bad value next to a NaN still raises."""
+    tol, eps = fusion.PROB_CLAMP, 1e-12
+    clamped = fusion._check_and_clamp(np.array([-tol, 0.1, 0.25 + tol]), 0.25)
+    np.testing.assert_array_equal(clamped, [0.0, 0.1, 0.25])
+    for bad in (-(tol + eps), 0.25 + tol + eps):
+        for p in ([0.1, bad], [np.nan, bad]):
+            with pytest.raises(fusion.InconsistentProbabilityError):
+                fusion._check_and_clamp(np.array(p), 0.25)
+    out = fusion._check_and_clamp(np.array([np.nan, 0.1]), 0.25)
+    assert np.isnan(out[0]) and out[1] == 0.1
+    assert fusion._check_and_clamp(np.empty((6, 0)), 0.25).shape == (6, 0)

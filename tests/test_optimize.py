@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,55 @@ def test_descent_stays_on_orthonormal_rows(monkeypatch):
     for res in results:
         u = matrices.validate_unitary(res.best_matrix)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("objective, target", [(ExpectationEntropy, 0.8), (ThresholdProbability, 0.6)])
+def test_run_at_huge_step_keeps_rows_orthonormal(monkeypatch, objective, target):
+    """The step cap bounds each entry of step * G by RETRACT_MAX, and
+    momentum with a tangent projection, which never lengthens, keeps the
+    velocity within a few tens of RETRACT_MAX.  So at step 1e308, for 250
+    iterations, r + vel reaches beyond RETRACT_MAX, yet every retraction
+    stays orthonormal to 1e-14, the trace stays finite, and numpy warns of
+    nothing."""
+    points, worst = [], []
+    retract = matrices._gram_schmidt
+
+    def spy(y, done=None):
+        q = retract(y, done)
+        points.append(np.abs(y).max())
+        gram = np.einsum("ain,bin->nab", q, q.conj())
+        worst.append(np.abs(gram - np.eye(2)).max())
+        return q
+
+    r = np.empty((2, 4, 8), dtype=complex)
+    for block, q in matrices._haar_rows(np.random.default_rng(5), 8):
+        r[..., block] = q
+    monkeypatch.setattr(matrices, "_gram_schmidt", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        finals, trace = opt._run(objective, r, np.full(8, target), [0.01] * 250, 1e308)
+    assert len(worst) == 250
+    assert max(points) > opt.RETRACT_MAX
+    assert max(worst) <= 1e-14
+    assert trace.shape == (250, 8) and np.all(np.isfinite(trace))
+    gram = np.einsum("ain,bin->nab", finals, finals.conj())
+    assert np.abs(gram - np.eye(2)).max() <= 1e-14
+
+
+def test_states_used_counts_the_winner():
+    """states_used, counted from the final exchange, equals a direct count
+    on best_matrix: outcomes with p > STATES_P_FLOOR and S at least the
+    objective's floor, for a builtin winner and for descent winners."""
+    results = [opt.optimize(ThresholdProbability(s_target_bits=1.0), SMALL)]
+    results += [opt.optimize(ThresholdProbability(s_target_bits=0.6), SMALL)]
+    results += [row["result"] for row in sweep("expectation", [0.7, 0.85], SMALL)]
+    assert results[0].from_builtin is not None
+    assert all(res.from_builtin is None for res in results[1:])
+    for res in results:
+        p = fusion.relevant_probabilities(res.best_matrix)
+        s = entanglement.entropies_from_matrix(res.best_matrix)
+        floor = res.target if res.kind == "threshold" else ExpectationEntropy._s_floor
+        assert res.states_used == np.count_nonzero((p > opt.STATES_P_FLOOR) & (s >= floor - 1e-9))
 
 
 @pytest.mark.parametrize(
