@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", help="restrict to named suites; repeatable")
     p.add_argument(
         "--inject-fault",
-        metavar="KIND",
+        choices=("sign",),
         help="deliberately corrupt one computation (negative control)",
     )
     p.set_defaults(func=_cmd_verify)

@@ -356,6 +356,8 @@ def load_matrix(path) -> np.ndarray:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedInputError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MalformedInputError(f"{path}: JSON nested too deeply") from exc
     return matrix_from_json(obj)
 
 

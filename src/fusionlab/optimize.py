@@ -11,10 +11,10 @@ advance together as one numpy batch, each at its own target, and a final
 exchange ranks every target's points at every target (see `sweep`);
 `optimize` is the case T = 1.  An objective supplies only its hard value,
 its signed gap p_total - p_target (0 in threshold mode) and its per-outcome
-gradient weights at a temperature, all at per-row targets; the engine owns
-the temperatures, the gradient, pool scoring, best-point tracking and the
-final merge with the builtin matrices.  Rows, gradients and per-outcome
-arrays are batch last, as `fusion._outcomes` takes them.
+gradient weights, all at per-row targets; the engine owns the gradient,
+pool scoring, best-point tracking and the final merge with the builtin
+matrices.  Rows, gradients and per-outcome arrays are batch last, as
+`fusion._outcomes` takes them.
 
 Gradients are exact and reverse-mode.  Every descent direction is a
 weighted sum sum_k a_k dp_k + b_k p_k dS_k (+ c dp_diag) over the six
@@ -25,14 +25,17 @@ the complex Stiefel manifold (Edelman, Arias & Smith, SIAM J. Matrix Anal.
 Appl. 20, 303, 1998): the velocity is projected onto the tangent space at
 the rows, and the step retracted by Gram-Schmidt.
 
-P(s) is a sum of indicator terms, so its descent runs on a logistic-smoothed
-surrogate annealed through `ANNEAL_SCHEDULE` (`_temperatures`); reported
-values are always the hard objective, recomputed from the winning matrix.
-Expectation mode holds the probability constraint with the exact L1 penalty
-beta |p - p_target|, beta = 2, from the first iteration: the frontier's
-slope is about -1, so any beta above 1 pins the descent to the target.
-Both modes score the post-step endpoints of every restart, so the engine
-never asks which objective it runs.
+Both modes descend on an exact L1 penalty (Nocedal & Wright, Numerical
+Optimization, 2nd ed., 17.2), "hard value minus penalty", from the first
+iteration.  Expectation mode minimizes -<S> + beta |p - p_target|, beta =
+2: the frontier's slope is about -1, so any beta above 1 pins the descent
+to the target.  P(s) is a sum of indicator terms, so threshold mode
+minimizes gamma (-p_total - [s <= 0] p_diag + sum_k max(0, s - S_k)),
+which rewards probability until an outcome's entropy falls below s; every
+interior winner uses all six relevant outcomes, so no outcome needs to be
+given up.  Reported values are always the hard objective, recomputed from
+the winning matrix, and both modes score the post-step endpoints of every
+restart, so the engine never asks which objective it runs.
 
 Known exact optima (the builtin matrices) join the candidate pool of every
 run.  They matter at the boundaries: descent approaches the s = 1 optimum
@@ -61,10 +64,14 @@ __all__ = [
     "random_scatter",
 ]
 
-ANNEAL_SCHEDULE = (0.1, 0.01, 0.001)  # threshold surrogate temperatures, in turn
 FEASIBLE_BAND = 0.005   # |p_total - p_target| accepted as on-target
 L1_BETA = 2.0           # exact-penalty weight, > the frontier slope
 MOMENTUM = 0.9
+# threshold-penalty weight.  Threshold mode wants a step of 3e-4, but `step`
+# is shared with expectation mode, which loses 32-37 of its 51 acceptance
+# targets there; below the step cap the step scales the gradient linearly,
+# so gamma = 0.3 at the default step takes the same steps
+PENALTY_GAMMA = 0.3
 RETRACT_MAX = 1e6       # largest step entry the descent takes, see `_run`
 STATES_P_FLOOR = 1e-6
 
@@ -94,9 +101,9 @@ class ExpectationEntropy:
         return np.add.reduce(out.p * out.s, 0), np.add.reduce(out.p, 0) - target
 
     @staticmethod
-    def _weights(tau, s, gap, target):
-        """Weights (a, b, c) (see `_pullback`) of the exact L1 penalty, at any tau."""
-        return L1_BETA * np.sign(gap) - s, -1.0, 0.0
+    def _weights(out, gap, target):
+        """Weights (a, b, c) (see `_pullback`) of -<S> + L1_BETA |gap|."""
+        return L1_BETA * np.sign(gap) - out.s, -1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -138,14 +145,13 @@ class ThresholdProbability:
         return value, np.zeros_like(value)
 
     @staticmethod
-    def _weights(tau, s, gap, target):
-        """Weights (a, b, c) (see `_pullback`) that descend on
-        -(sum p sigma((S - s) / tau) + sigma(-s / tau) p_diag),
-        the same-channel term only in rows with target s <= 0."""
-        target = np.asarray(target)
-        sig = _logistic((s - target) / tau)
-        c = np.where(target <= 0.0, -_logistic(-target / tau), 0.0)
-        return -sig, -sig * (1.0 - sig) / tau, c
+    def _weights(out, gap, target):
+        """Weights (a, b, c) (see `_pullback`) of the exact penalty
+        gamma (-p_total - [s <= 0] p_diag + sum_k max(0, s - S_k)) at the
+        per-row target s; b p dS = -gamma dS on the violated outcomes, with
+        p floored at `STATES_P_FLOOR`."""
+        b = np.where(out.s < target, -PENALTY_GAMMA / np.maximum(out.p, STATES_P_FLOOR), 0.0)
+        return -PENALTY_GAMMA, b, np.where(np.asarray(target) <= 0.0, -PENALTY_GAMMA, 0.0)
 
 
 @dataclass(frozen=True)
@@ -169,13 +175,14 @@ class OptimizerConfig:
 class OptResult:
     """Outcome of one optimization run.
 
-    `hard_value` is the unsmoothed objective (<S> or P) of `best_matrix`, the
-    best of the restarts' final points and the builtin matrices (in a sweep,
-    those of every target): feasible candidates rank by value, and when none
-    is feasible the one closest to the target wins.  `restart_values` holds
-    the final hard value of each of this target's own restarts, `trace` the
-    per-iteration hard value of the winning restart, or of the own restart
-    ranked best the same way when the winner comes from elsewhere.
+    `hard_value` is the hard objective (<S> or P, not the penalty the
+    descent minimizes) of `best_matrix`, the best of the restarts' final
+    points and the builtin matrices (in a sweep, those of every target):
+    feasible candidates rank by value, and when none is feasible the one
+    closest to the target wins.  `restart_values` holds the final hard value
+    of each of this target's own restarts, `trace` the per-iteration hard
+    value of the winning restart, or of the own restart ranked best the same
+    way when the winner comes from elsewhere.
     """
 
     best_matrix: np.ndarray
@@ -213,10 +220,6 @@ def threshold_probability(matrix, s_target_bits: float):
     u = np.asarray(matrix, dtype=complex)
     total = _evaluate(ThresholdProbability, fusion._rows(u), s_target)[0]
     return float(total) if u.ndim == 2 else total
-
-
-def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +289,11 @@ def _tangent(r, x):
     return x - np.add.reduce(sym[..., None, :] * r[None], 1)
 
 
-def _temperatures(iterations: int) -> list[float]:
-    """One surrogate temperature per iteration: `ANNEAL_SCHEDULE` in turn,
-    max(iterations // 3, 1) iterations each, the last taking the rest."""
-    seg = max(iterations // len(ANNEAL_SCHEDULE), 1)
-    return [ANNEAL_SCHEDULE[min(it // seg, len(ANNEAL_SCHEDULE) - 1)] for it in range(iterations)]
-
-
-def _run(objective, r, target, taus, step: float):
+def _run(objective, r, target, iterations: int, step: float):
     """Momentum descent of the orthonormal rows r, (2, 4, R), each restart
-    at its own target (see the module docstring), one iteration per
-    temperature in `taus`.  Returns (finals, trace): per restart the best
-    feasible point visited, or else the point closest to its target, and
-    the (len(taus), R) hard values."""
+    at its own target (see the module docstring).  Returns (finals, trace):
+    per restart the best feasible point visited, or else the point closest
+    to its target, and the (iterations, R) hard values."""
     vel = np.zeros_like(r)
     best_value = np.full(r.shape[-1], -np.inf)
     best_r = r.copy()
@@ -314,12 +309,12 @@ def _run(objective, r, target, taus, step: float):
         np.copyto(best_gap, gap, where=upd)
         np.copyto(best_gap_r, points, where=upd)
 
-    trace = np.zeros((len(taus), r.shape[-1]))
-    for it, tau in enumerate(taus):
+    trace = np.zeros((iterations, r.shape[-1]))
+    for it in range(iterations):
         value, gap, out = _evaluate(objective, r, target)
         trace[it] = value
         track(r, value, gap)
-        grad = _pullback(r, out, *objective._weights(tau, out.s, gap, target))
+        grad = _pullback(r, out, *objective._weights(out, gap, target))
         # no entry of h * grad exceeds RETRACT_MAX, and the projection never
         # lengthens vel, so it stays within a few tens of RETRACT_MAX
         with np.errstate(divide="ignore"):
@@ -353,13 +348,12 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
     starts = pool.reshape(2, 4, R, -1)[:, :, np.arange(R), np.argmax(score0, axis=-1)]
 
     target = np.repeat(targets, R)
-    taus = _temperatures(cfg.iterations)
-    finals, trace = _run(obj, starts.reshape(2, 4, T * R), target, taus, cfg.step)
+    finals, trace = _run(obj, starts.reshape(2, 4, T * R), target, cfg.iterations, cfg.step)
 
     handed = np.empty((2, 4, 0), dtype=complex)
     if T > 1:
-        # hand-off round: every target descends again from the round-1
-        # winners of its two sorted neighbours, at the last temperature
+        # hand-off round: every target descends again, for a third of the
+        # iterations, from the round-1 winners of its two sorted neighbours
         value1, gap1, _ = _evaluate(obj, finals, target)
         value1, gap1 = value1.reshape(T, R), gap1.reshape(T, R)
         best = [_rank(value1[t], gap1[t], np.abs(gap1[t]) <= FEASIBLE_BAND) for t in range(T)]
@@ -367,8 +361,7 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
         order = np.argsort(targets, kind="stable")
         src = np.concatenate([order[:-1], order[1:]])
         dst = np.concatenate([order[1:], order[:-1]])
-        taus = [ANNEAL_SCHEDULE[-1]] * (cfg.iterations // 3)
-        handed, _ = _run(obj, winners[..., src], targets[dst], taus, cfg.step)
+        handed, _ = _run(obj, winners[..., src], targets[dst], cfg.iterations // 3, cfg.step)
 
     # final exchange: the builtins and every final point, ranked at every target
     names = matrices.BUILTIN_NAMES
@@ -418,9 +411,8 @@ def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
 def optimize(objective, config: OptimizerConfig | None = None) -> OptResult:
     """Run the full restart descent for one objective.
 
-    Each iteration takes the exact gradient of the objective (the smoothed
-    surrogate in threshold mode) with respect to rows 1-2 of U; see the
-    module docstring.
+    Each iteration takes the exact gradient of the objective's exact
+    penalty with respect to rows 1-2 of U; see the module docstring.
 
     Deterministic for a given config: every random draw derives from
     `master_seed`, restarts advance in one batch, and ties in the final
@@ -439,15 +431,14 @@ def sweep(kind: str, targets, config: OptimizerConfig | None = None) -> list[dic
     All targets share one candidate pool, drawn from `master_seed` as in
     `optimize`, and their restarts descend together as one batch.  With two
     or more targets a hand-off round follows: each target descends for a
-    third of the iterations, at the last annealing temperature (expectation
-    mode has none) with fresh momentum, from the round-1 winners of
-    its neighbours in sorted target order.  Finally the builtins and every
+    third of the iterations, with fresh momentum, from the round-1 winners
+    of its neighbours in sorted target order.  Finally the builtins and every
     final point of both rounds are scored at every target, and each target
     ranks all of them.  So a matrix found for one target counts for every
     other: P(s) is weakly decreasing by construction.  At the default
     config and master seeds 0 to 3 the hand-off raises 10 to 15 of the 51
     targets p = 0.50, 0.51, ..., 1.00 by more than 1e-4 (by up to 0.0046),
-    and 8 to 11 of the 26 targets s = 0, 0.04, ..., 1 (by up to 0.011).
+    and 0 to 4 of the 26 targets s = 0, 0.04, ..., 1 (by up to 0.0029).
     `mean_value` covers the target's own restarts.  A one-target sweep is
     exactly `optimize`.  Rows come back in the order the targets were
     given, every one with `seed` = `master_seed`."""

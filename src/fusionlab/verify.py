@@ -468,12 +468,14 @@ def run_suites(
 
     `trials` scales each suite's sample counts (heavier suites cap their own
     effort).  Deterministic per (trials, seed).  `names` restricts the run to
-    a subset; `inject_fault` corrupts the channel-invariant computation to
-    prove failures are detected.
+    a subset; `inject_fault="sign"`, the one fault kind, flips a sign in the
+    channel-invariant computation to prove failures are detected.
     """
     trials, seed = matrices._count(trials, "trials"), matrices._count(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if inject_fault not in (None, "sign"):
+        raise ValueError(f"unknown fault kind {inject_fault!r}; the one kind is 'sign'")
     wanted = set(SUITE_NAMES if names is None else names)
     unknown = wanted - set(SUITE_NAMES)
     if unknown:

@@ -167,7 +167,8 @@ def test_expectation_frontier_sweep():
 
 def test_threshold_frontier_sweep():
     """P(s) against the entropy target: certain at 0, half at 1, monotone,
-    and built from all six relevant outcomes in between."""
+    built from all six relevant outcomes in between, and above the 0.5226
+    that a logistic-surrogate descent reached at s = 0.8."""
     t0 = time.perf_counter()
     targets = [round(0.04 * k, 2) for k in range(26)]
     rows = opt.sweep("threshold", targets)
@@ -181,10 +182,12 @@ def test_threshold_frontier_sweep():
     interior = [r for r in rows if 0.0 < r["target"] < 1.0]
     six = sum(1 for r in interior if r["states_used"] == 6)
     ok &= six >= 0.8 * len(interior)
+    p08 = values[targets.index(0.8)]
+    ok &= p08 >= 0.526
     assert _report(
         ok,
         "threshold sweep",
-        f"P(0)={values[0]}, P(1)={values[-1]:.6f}, max step {max(drops):+.2e}, "
+        f"P(0)={values[0]}, P(0.8)={p08:.5f}, P(1)={values[-1]:.6f}, max step {max(drops):+.2e}, "
         f"six-state points {six}/{len(interior)}, {elapsed:.0f}s",
     )
 

@@ -51,3 +51,19 @@ def test_random_scatter_rows_equal_direct_evaluation(seed, n, interior):
     rows, _ = opt.random_scatter(n, seed, "threshold", s_targets=targets)
     direct = [(s, p) for s in targets for p in opt.threshold_probability(u, s)]
     np.testing.assert_array_equal(np.array(rows), np.array(direct))
+
+
+def test_batch_past_temporary_elision_equals_chunks():
+    """Past 2,731 rows numpy multiplies the kernel's complex temporaries in
+    place (temporary elision), which rounds differently from an out-of-place
+    product; a 3,000-row batch must still equal its 1,000-row chunks."""
+    u = np.concatenate(
+        [matrices.haar_sample(np.random.default_rng(2731), size=3000)]
+        + [matrices.builtin(nm)[None] for nm in matrices.BUILTIN_NAMES]
+    )
+    chunks = [u[k : k + 1000] for k in range(0, len(u), 1000)]
+    chunked = np.concatenate([opt.expectation_entropy(c) for c in chunks])
+    np.testing.assert_array_equal(opt.expectation_entropy(u), chunked)
+    for s in (0.0, 0.37, 1.0):
+        chunked = np.concatenate([opt.threshold_probability(c, s) for c in chunks])
+        np.testing.assert_array_equal(opt.threshold_probability(u, s), chunked)

@@ -148,6 +148,19 @@ def test_analyze_rejects_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_deeply_nested_matrix_json_rejected(command, scenario_file, tmp_path, capsys):
+    """A RecursionError from the JSON parser once escaped as a traceback and
+    exit 1, the code of a failed verification."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    argv = [command, "--matrix", str(deep)]
+    if command == "oracle":
+        argv.insert(1, scenario_file)
+    assert main(argv) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -304,6 +317,15 @@ def test_verify_fault_injection_fails(capsys):
                  "--inject-fault", "sign"])
     assert code == 1
     assert capsys.readouterr().out.strip().endswith("FAIL")
+
+
+def test_verify_unknown_fault_kind(capsys):
+    """Any KIND once injected the sign flip; only "sign" is accepted."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "5", "--suite", "channel_invariants",
+              "--inject-fault", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):

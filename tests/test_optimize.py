@@ -6,7 +6,6 @@ import pytest
 
 from fusionlab import entanglement, fusion, matrices, optimize as opt
 from fusionlab.optimize import (
-    ANNEAL_SCHEDULE,
     ExpectationEntropy,
     OptimizerConfig,
     ThresholdProbability,
@@ -178,7 +177,7 @@ def test_run_at_huge_step_keeps_rows_orthonormal(monkeypatch, objective, target)
     monkeypatch.setattr(matrices, "_gram_schmidt", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        finals, trace = opt._run(objective, r, np.full(8, target), [0.01] * 250, 1e308)
+        finals, trace = opt._run(objective, r, np.full(8, target), 250, 1e308)
     assert len(worst) == 250
     assert max(points) > opt.RETRACT_MAX
     assert max(worst) <= 1e-14
@@ -201,17 +200,6 @@ def test_states_used_counts_the_winner():
         s = entanglement.entropies_from_matrix(res.best_matrix)
         floor = res.target if res.kind == "threshold" else ExpectationEntropy._s_floor
         assert res.states_used == np.count_nonzero((p > opt.STATES_P_FLOOR) & (s >= floor - 1e-9))
-
-
-@pytest.mark.parametrize(
-    "iterations, segments",
-    [(1, [1, 0, 0]), (2, [1, 1, 0]), (3, [1, 1, 1]), (7, [2, 2, 3]), (1000, [333, 333, 334])],
-)
-def test_temperature_schedule(iterations, segments):
-    """`ANNEAL_SCHEDULE` in turn, max(iterations // 3, 1) iterations each,
-    the last temperature taking the rest."""
-    taus = opt._temperatures(iterations)
-    assert taus == [tau for tau, k in zip(ANNEAL_SCHEDULE, segments) for _ in range(k)]
 
 
 def test_threshold_knife_edge_prefers_exact_builtin():
@@ -270,8 +258,7 @@ def test_expectation_infeasible_fallback(p_target):
     res = opt.optimize(ExpectationEntropy(p_target=p_target), cfg)
     r = fusion._rows(_pool_starts(cfg, p_target))
     s_w, gap_w, out = opt._evaluate(ExpectationEntropy, r, p_target)
-    (tau,) = opt._temperatures(cfg.iterations)
-    grad = opt._pullback(r, out, *ExpectationEntropy._weights(tau, out.s, gap_w, p_target))
+    grad = opt._pullback(r, out, *ExpectationEntropy._weights(out, gap_w, p_target))
     end = matrices._gram_schmidt(r + opt._tangent(r, -cfg.step * grad))
     gap_e = opt._evaluate(ExpectationEntropy, end, p_target)[1]
     p_b = fusion.total_relevant_probability(
@@ -521,12 +508,15 @@ def _gradient_points(group):
     return matrices.from_params(base + NEAR_BUILTIN[group] * rng.normal(size=(4, 16)))
 
 
-def _smooth_threshold(u, s_target, tau):
-    k = fusion._outcomes(fusion._rows(u))
-    out = np.sum(k.p * opt._logistic((k.s - s_target) / tau), axis=0)
-    if s_target <= 0.0:
-        out = out + opt._logistic(-s_target / tau) * np.sum(fusion.diag_probabilities(u), axis=-1)
-    return out
+def _threshold_penalty(u, s_target, diag=True):
+    """gamma (-p_total - [s <= 0] p_diag + sum_k max(0, s - S_k)), from the
+    public per-matrix functions; without the p_diag term if not diag."""
+    p = fusion.relevant_probabilities(u)
+    s = entanglement.entropies_from_matrix(u)
+    out = -np.sum(p, axis=-1) + np.sum(np.maximum(s_target - s, 0.0), axis=-1)
+    if diag and s_target <= 0.0:
+        out = out - np.sum(fusion.diag_probabilities(u), axis=-1)
+    return opt.PENALTY_GAMMA * out
 
 
 def _assert_covered(masks, group):
@@ -548,11 +538,11 @@ def _generators():
 
 def _grad_at(u, weights):
     """The engine's gradient G with respect to rows 1-2, R, at the points u,
-    with batch-last weights(s) -> (a, b[, c]), along the 16 curves of
+    with batch-last weights(out) -> (a, b[, c]) of the kernel output, along the 16 curves of
     `_fd_grad`: Re tr(G^H R i E_k), (points, 16)."""
     r = fusion._rows(u)
     out = fusion._outcomes(r)
-    g = opt._pullback(r, out, *weights(out.s)).transpose(2, 0, 1)
+    g = opt._pullback(r, out, *weights(out)).transpose(2, 0, 1)
     dr = 1j * u[:, None, :2, :] @ _generators()
     return np.sum(g[:, None].conj() * dr, axis=(-2, -1)).real
 
@@ -560,8 +550,8 @@ def _grad_at(u, weights):
 @pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
 def test_expectation_gradient_matches_finite_differences(group):
     u = _gradient_points(group)
-    g_S = _grad_at(u, lambda s: (s, 1.0))
-    g_p = _grad_at(u, lambda s: (np.ones_like(s), 0.0))
+    g_S = _grad_at(u, lambda out: (out.s, 1.0))
+    g_p = _grad_at(u, lambda out: (np.ones_like(out.s), 0.0))
 
     def score(x):  # at target 0, the gap is p_total itself
         return opt._evaluate(ExpectationEntropy, fusion._rows(x), 0.0)
@@ -576,18 +566,18 @@ def test_expectation_gradient_matches_finite_differences(group):
 @pytest.mark.parametrize("group", ["random", "pbs2", "blockpair"])
 @pytest.mark.parametrize("s_target", [0.0, 0.5, 1.0])
 def test_threshold_gradient_matches_finite_differences(group, s_target):
-    """The surrogate's weights pull back to minus its gradient at every temperature."""
+    """The exact-penalty weights pull back to the penalty's gradient, away
+    from its kinks at S_k = s.  At s = 0 all ten outcomes count, so the
+    penalty is the constant -gamma: there its gradient must cancel, and the
+    p_total part alone is checked against differences."""
     u = _gradient_points(group)
-    obj = ThresholdProbability(s_target_bits=s_target)
-    masks = [
-        _assert_matches_fd(
-            -_grad_at(u, lambda s: obj._weights(tau, s, None, s_target)),
-            lambda x: _smooth_threshold(x, s_target, tau),
-            u,
-        )
-        for tau in ANNEAL_SCHEDULE
-    ]
-    _assert_covered(masks, group)
+    grad = _grad_at(u, lambda out: ThresholdProbability._weights(out, None, s_target))
+    diag = s_target > 0.0
+    if not diag:
+        assert np.abs(grad).max() <= 1e-12
+        grad = _grad_at(u, lambda out: ThresholdProbability._weights(out, None, s_target)[:2])
+    mask = _assert_matches_fd(grad, lambda x: _threshold_penalty(x, s_target, diag), u)
+    _assert_covered([mask], group)
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_BUILTIN))
@@ -608,8 +598,8 @@ def test_outcome_derivatives_near_builtins(name):
         def s_j(x):
             return entanglement.entropies_from_matrix(x)[..., j]
 
-        ok_p = _assert_matches_fd(_grad_at(u, lambda s: (e_j, 0.0)), p_j, u)
-        pds_j = _grad_at(u, lambda s: (0.0, e_j))
+        ok_p = _assert_matches_fd(_grad_at(u, lambda out: (e_j, 0.0)), p_j, u)
+        pds_j = _grad_at(u, lambda out: (0.0, e_j))
         ok_s = _assert_matches_fd(pds_j / p[:, None, j], s_j, u)
         masks += [ok_p[live[:, j]], ok_s[live[:, j]]]
     assert np.mean(np.concatenate(masks)) >= 0.75
@@ -617,7 +607,7 @@ def test_outcome_derivatives_near_builtins(name):
 
 def test_gradients_finite_at_builtins():
     """Exact builtins sit on p = 0 outcomes and det in {0, 1/4}; the
-    gradient of both objectives stays finite at every temperature."""
+    gradient of both objectives stays finite, with no RuntimeWarning."""
     names = matrices.BUILTIN_NAMES
     r = fusion._rows(np.stack([matrices.builtin(nm) for nm in names]))
     objectives = [ExpectationEntropy(p_target=0.75)]
@@ -626,10 +616,11 @@ def test_gradients_finite_at_builtins():
         target = np.full(len(names), obj._target)
         _, gap, out = opt._evaluate(obj, r, target)
         assert set(out.p[:, names.index("identity")]) == {0.0, 0.25}
-        for tau in ANNEAL_SCHEDULE:
-            g = opt._pullback(r, out, *obj._weights(tau, out.s, gap, target))
-            assert g.shape == (2, 4, len(names))
-            assert np.all(np.isfinite(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = opt._pullback(r, out, *obj._weights(out, gap, target))
+        assert g.shape == (2, 4, len(names))
+        assert np.all(np.isfinite(g))
 
 
 def test_pullback_batched_matches_single():

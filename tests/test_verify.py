@@ -48,6 +48,11 @@ def test_fault_injection_trips_only_its_suite():
             assert r.ok, f"{name} must not be affected by the injected fault"
 
 
+def test_unknown_fault_kind_rejected():
+    with pytest.raises(ValueError, match="fault kind"):
+        run_suites(trials=10, inject_fault="invariant", names=["channel_invariants"])
+
+
 def test_names_filter():
     results = run_suites(trials=10, seed=1, names=["unitarity"])
     assert len(results) == 1
