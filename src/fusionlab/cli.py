@@ -2,7 +2,8 @@
 
 Every command is deterministic given its flags and seed, prints numbers with
 12 significant digits, and writes files atomically.  Exit codes: 0 success,
-1 verification failure, 2 usage or validation error.
+1 verification failure, 2 usage or validation error, or a size too large to
+allocate.
 """
 from __future__ import annotations
 
@@ -220,6 +221,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (matrices.FusionlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

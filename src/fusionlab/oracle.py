@@ -16,11 +16,14 @@ A fusion scenario joins two marked clusters.  The marked left qubit a may
 carry a logical partner e (|0>_L = |00>_{ae}, |1>_L = |11>_{ae}), realized
 here by duplicating the qubit's bit into a fresh axis; the fusion projector
 A<00| + B<01| + C<10| + D<11| then consumes qubits (a, b) and leaves e behind
-as the carrier of the fused link.
+as the carrier of the fused link.  `_fused_graph` alone derives that register:
+which axes survive, which side each is on, and the graph and flags the
+verdicts expect on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -326,7 +329,8 @@ def bipartite_entropy(state: np.ndarray, left_set) -> float:
     p = sv**2
     p = p[p > 1e-15]
     p = p / p.sum()
-    return float(-np.sum(p * np.log2(p)))
+    # 0.0 - x, not -x: a product cut sums to 0.0 and must read +0.0
+    return float(0.0 - np.sum(p * np.log2(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +343,9 @@ class FusionScenario:
 
     With `logical_partner` the left cluster's marked qubit is duplicated into
     a partner e before fusion, so the post-fusion register keeps a carrier
-    qubit for the new link.
+    qubit for the new link.  b needs a neighbour, and so does a unless the
+    partner carries its bit: the closed forms assume that each side's two
+    branches (marked qubit 0 or 1) are orthogonal states of its survivors.
     """
 
     left: GraphSpec
@@ -353,6 +359,12 @@ class FusionScenario:
             raise MalformedInputError(f"marked qubit a={self.a} not in left graph")
         if not 0 <= self.b < self.right.n:
             raise MalformedInputError(f"marked qubit b={self.b} not in right graph")
+        if self.right.degree(self.b) == 0:
+            raise MalformedInputError(f"marked qubit b={self.b} has no neighbour")
+        if self.left.degree(self.a) == 0 and not self.logical_partner:
+            raise MalformedInputError(
+                f"marked qubit a={self.a} has no neighbour and no logical partner"
+            )
         if self.n_joint > MAX_QUBITS:
             raise TooManyQubits(
                 f"scenario needs {self.n_joint} qubits, dense cap is {MAX_QUBITS}"
@@ -362,72 +374,58 @@ class FusionScenario:
     def n_joint(self) -> int:
         return self.left.n + self.right.n + (1 if self.logical_partner else 0)
 
-    @property
+    @cached_property
     def arity(self) -> int:
         """Neighbor count of the fused qubit b."""
         return self.right.degree(self.b)
 
+    @cached_property
+    def _fused_graph(self):
+        """The register the projector leaves behind and the graph it should carry.
 
-def _fused_layout(scenario: FusionScenario):
-    """Axis positions of the surviving qubits after the projector removes (a, b).
-
-    Joint ordering before removal: left vertices 0..nl-1, then the partner e
-    (if any), then right vertices.  Returns (left_axes, e_axis, right_axes)
-    as old-vertex -> new-axis maps.
-    """
-    nl = scenario.left.n
-    off = nl + (1 if scenario.logical_partner else 0)
-    a = scenario.a
-    bj = off + scenario.b
-
-    def new_axis(old):
-        return old - (old > a) - (old > bj)
-
-    left_axes = {v: new_axis(v) for v in range(nl) if v != a}
-    e_axis = new_axis(nl) if scenario.logical_partner else None
-    right_axes = {w: new_axis(off + w) for w in range(scenario.right.n) if w != scenario.b}
-    return left_axes, e_axis, right_axes
-
-
-def _fused_adjacency(scenario: FusionScenario):
-    """Edge list of the expected post-fusion graph, in new-axis labels."""
-    left_axes, e_axis, right_axes = _fused_layout(scenario)
-    edges = []
-    for (u, v) in scenario.left.edges:
-        if scenario.a not in (u, v):
-            edges.append((left_axes[u], left_axes[v]))
-    for (u, v) in scenario.right.edges:
-        if scenario.b not in (u, v):
-            edges.append((right_axes[u], right_axes[v]))
-    if e_axis is not None:
-        for c in scenario.left.neighbors(scenario.a):
-            edges.append((e_axis, left_axes[c]))
-        for c in scenario.right.neighbors(scenario.b):
-            edges.append((e_axis, right_axes[c]))
-    return edges
+        The projector keeps the joint order (left vertices, partner, right
+        vertices) less a and b, so the left side, carrier included, is the
+        first `cut` axes.  Returns (g, e, flip, cut): g the expected fused
+        graph on the surviving axes (both clusters' edges away from a and b,
+        the carrier e joined to n(a) U n(b), every survivor's flag, and
+        k_a xor k_b on e); e the carrier's axis, None without a partner; flip
+        the axes of b's neighbours, where one family of outcomes imprints Z
+        corrections.  Computed once per scenario, which is frozen.
+        """
+        left, right, a, b = self.left, self.right, self.a, self.b
+        cut = left.n - 1 + self.logical_partner
+        lax = lambda v: v - (v > a)
+        rax = lambda w: cut + w - (w > b)
+        edges = [(lax(u), lax(v)) for (u, v) in left.edges if a not in (u, v)]
+        edges += [(rax(u), rax(v)) for (u, v) in right.edges if b not in (u, v)]
+        flags = [k for v, k in enumerate(left.k_flags) if v != a]
+        flip = tuple(rax(c) for c in right.neighbors(b))
+        e = None
+        if self.logical_partner:
+            e = cut - 1
+            edges += [(e, lax(c)) for c in left.neighbors(a)] + [(e, d) for d in flip]
+            flags.append(left.k_flags[a] ^ right.k_flags[b])
+        flags += [k for w, k in enumerate(right.k_flags) if w != b]
+        return graph(len(flags), edges, flags), e, flip, cut
 
 
 @dataclass(frozen=True)
 class FusionRun:
-    """Post-fusion state plus the bookkeeping to locate the original qubits."""
+    """Post-fusion state; the left cluster's survivors, carrier e included,
+    are its first `cut` axes and the right cluster's are the rest."""
 
     state: np.ndarray
     weight: float
-    left_axes: dict
     e_axis: int | None
-    right_axes: dict
+    cut: int
 
     @property
     def left_side(self) -> tuple[int, ...]:
-        """Axes of the left cluster's survivors (carrier qubit included)."""
-        axes = sorted(self.left_axes.values())
-        if self.e_axis is not None:
-            axes.append(self.e_axis)
-        return tuple(sorted(axes))
+        return tuple(range(self.cut))
 
     @property
     def right_side(self) -> tuple[int, ...]:
-        return tuple(sorted(self.right_axes.values()))
+        return tuple(range(self.cut, self.state.ndim))
 
 
 def joint_state(scenario: FusionScenario) -> np.ndarray:
@@ -440,18 +438,15 @@ def joint_state(scenario: FusionScenario) -> np.ndarray:
 
 
 def fuse(scenario: FusionScenario, coeffs) -> FusionRun:
-    """Build the joint state and apply the fusion projector on (a, b)."""
-    psi = joint_state(scenario)
-    off = scenario.left.n + (1 if scenario.logical_partner else 0)
-    state, weight = apply_fusion_projector(psi, scenario.a, off + scenario.b, coeffs)
-    left_axes, e_axis, right_axes = _fused_layout(scenario)
-    return FusionRun(
-        state=state,
-        weight=weight,
-        left_axes=left_axes,
-        e_axis=e_axis,
-        right_axes=right_axes,
+    """Build the joint state and apply the fusion projector on (a, b).
+
+    b sits at joint axis cut + 1 + b, past the left vertices and the partner.
+    """
+    _, e, _, cut = scenario._fused_graph
+    state, weight = apply_fusion_projector(
+        joint_state(scenario), scenario.a, cut + 1 + scenario.b, coeffs
     )
+    return FusionRun(state=state, weight=weight, e_axis=e, cut=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -469,37 +464,18 @@ def check_Te_stabilizer(state: np.ndarray, scenario: FusionScenario, phi: float)
     the opposite sign, since one family of fusion outcomes imprints Z
     corrections exactly there.
     """
-    if not scenario.logical_partner:
+    g, e, flip, _ = scenario._fused_graph
+    if e is None:
         raise ValueError("the stabilizer verdict needs the carrier qubit e")
-    left_axes, e_axis, right_axes = _fused_layout(scenario)
-    edges = _fused_adjacency(scenario)
-    adj: dict[int, list[int]] = {v: [] for v in range(state.ndim)}
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    # carrier generator: Z on the new neighborhood, then T_e
-    work = state.copy()
-    for c in adj[e_axis]:
-        work[_at(work.ndim, {c: 1})] *= -1.0
-    work = np.flip(work, axis=e_axis).copy()
-    work[_at(work.ndim, {e_axis: 0})] *= np.exp(-1j * phi)
-    work[_at(work.ndim, {e_axis: 1})] *= np.exp(1j * phi)
-    carrier_sign = (-1.0) ** (scenario.left.k_flags[scenario.a] + scenario.right.k_flags[scenario.b])
-    if np.max(np.abs(work - carrier_sign * state)) > STATE_TOL:
-        return False
-
-    flip_allowed = {right_axes[c] for c in scenario.right.neighbors(scenario.b)}
-    signs = {}
-    for v, ax in left_axes.items():
-        signs[ax] = (-1.0) ** scenario.left.k_flags[v]
-    for w, ax in right_axes.items():
-        signs[ax] = (-1.0) ** scenario.right.k_flags[w]
-    for ax, sign in signs.items():
-        kv = _apply_k(state, ax, adj[ax])
+    work = _apply_k(state, e, g.neighbors(e))
+    work[_at(work.ndim, {e: 0})] *= np.exp(-1j * phi)
+    work[_at(work.ndim, {e: 1})] *= np.exp(1j * phi)
+    for v in range(g.n):
+        sign = (-1.0) ** g.k_flags[v]
+        kv = work if v == e else _apply_k(state, v, g.neighbors(v))
         if np.max(np.abs(kv - sign * state)) <= STATE_TOL:
             continue
-        if ax in flip_allowed and np.max(np.abs(kv + sign * state)) <= STATE_TOL:
+        if v in flip and np.max(np.abs(kv + sign * state)) <= STATE_TOL:
             continue
         return False
     return True
@@ -537,30 +513,16 @@ def check_weighted_graph_equivalence(
     """
     if scenario.arity != 1:
         raise ValueError("the weighted-graph verdict applies to single-neighbor fusions")
-    if not scenario.logical_partner:
+    g, e, (d,), _ = scenario._fused_graph
+    if e is None:
         raise ValueError("the weighted-graph verdict needs the carrier qubit e")
-    left_axes, e_axis, right_axes = _fused_layout(scenario)
-    d_axis = right_axes[scenario.right.neighbors(scenario.b)[0]]
+    # e's flag is a Z on e, which the phase alignment absorbs
+    edges = [pair for pair in g.edges if pair != (e, d)]
+    ref = build_graph_state(graph(g.n, edges, g.k_flags, special=(e, d, chi)))
 
-    edges = [pair for pair in _fused_adjacency(scenario) if set(pair) != {e_axis, d_axis}]
-    k_flags = [0] * state.ndim
-    for v, ax in left_axes.items():
-        k_flags[ax] = scenario.left.k_flags[v]
-    for w, ax in right_axes.items():
-        k_flags[ax] = scenario.right.k_flags[w]
-    ref = build_graph_state(
-        graph(state.ndim, edges, k_flags, special=(e_axis, d_axis, chi))
-    )
-
-    overlaps = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            idx = _at(state.ndim, {e_axis: x, d_axis: y})
-            overlaps[(x, y)] = complex(np.vdot(ref[idx], state[idx]))
-    achieved = _best_phase_alignment(
-        overlaps[0, 0], overlaps[0, 1], overlaps[1, 0], overlaps[1, 1]
-    )
-    return achieved >= 1.0 - STATE_TOL
+    at = lambda x, y: _at(g.n, {e: x, d: y})
+    overlaps = [complex(np.vdot(ref[at(x, y)], state[at(x, y)])) for x in (0, 1) for y in (0, 1)]
+    return _best_phase_alignment(*overlaps) >= 1.0 - STATE_TOL
 
 
 # ---------------------------------------------------------------------------

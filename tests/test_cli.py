@@ -394,10 +394,49 @@ def test_oracle_rejects_non_finite_chi(tmp_path, capsys):
     assert "bad special edge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, qubit",
+    [
+        ("left\n2\n0 1\nright\n1\nfuse 0 0\n", "b=0"),
+        ("left\n2\n0 1\nright\n2\nfuse 0 0\n", "b=0"),
+        ("left\n2\nright\n2\n0 1\nfuse 0 0 nopartner\n", "a=0"),
+        ("left\n1\nright\n2\n0 1\nfuse 0 0 nopartner\n", "a=0"),
+    ],
+    ids=["lone-b", "edgeless-b", "edgeless-a-nopartner", "lone-a-nopartner"],
+)
+def test_oracle_rejects_marked_qubit_without_neighbour(tmp_path, capsys, text, qubit):
+    """These once ended in a bipartition or arity error, and the third in a
+    false verification failure (exit 1)."""
+    path = tmp_path / "lonely.scenario"
+    path.write_text(text)
+    assert main(["oracle", str(path), "--matrix", "theorem7"]) == 2
+    assert f"marked qubit {qubit} has no neighbour" in capsys.readouterr().err
+
+
 def test_oracle_malformed_scenario(tmp_path, capsys):
     path = tmp_path / "broken.scenario"
     path.write_text("left\n2\n0 1\n")
     assert main(["oracle", str(path), "--matrix", "pbs2"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# sizes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "1000000000000000"],  # 14.2 PiB of draws
+        ["optimize", "expectation", "--p-target", "0.7",
+         "--restarts", "10000000000000"],  # 114 PiB of candidate rows
+    ],
+)
+def test_impossible_size_exits_2(tmp_path, capsys, argv):
+    """Both once ended in a numpy traceback and exit 1, the code of a failed
+    check.  Each size lies past the 47-bit address space, so the allocation
+    fails at once without touching memory."""
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "error: out of memory" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

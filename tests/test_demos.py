@@ -14,6 +14,8 @@ def _run(tmp_path, script, *args):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # pyproject's filterwarnings does not reach a subprocess
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script), *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,

@@ -216,6 +216,7 @@ def test_bipartite_entropy_landmarks():
         np.array([INV_SQRT2, INV_SQRT2]), np.array([INV_SQRT2, INV_SQRT2])
     )
     assert bipartite_entropy(product, [0]) == pytest.approx(0.0, abs=1e-12)
+    assert np.copysign(1.0, bipartite_entropy(product, [0])) == 1.0  # +0.0, as analyze reads
     ghz = np.zeros((2, 2, 2), dtype=complex)
     ghz[0, 0, 0] = ghz[1, 1, 1] = INV_SQRT2
     assert bipartite_entropy(ghz, [0, 2]) == pytest.approx(1.0, abs=1e-12)
@@ -234,6 +235,28 @@ def test_scenario_validation():
         FusionScenario(left=_path(2), a=0, right=_path(2), b=-1)
     with pytest.raises(TooManyQubits):
         FusionScenario(left=_path(7), a=0, right=_path(7), b=0)
+
+
+@pytest.mark.parametrize(
+    "left, right, partner, qubit",
+    [
+        (_path(3), graph(1), True, "b=0"),
+        (_path(3), graph(2), True, "b=0"),
+        (graph(2), _path(3), False, "a=0"),
+        (graph(1), _path(3), False, "a=0"),
+    ],
+    ids=["lone-b", "edgeless-b", "edgeless-a-nopartner", "lone-a-nopartner"],
+)
+def test_scenario_rejects_marked_qubit_without_neighbour(left, right, partner, qubit):
+    """The closed forms need orthogonal branches on both sides of the cut."""
+    with pytest.raises(MalformedInputError, match=f"marked qubit {qubit} has no neighbour"):
+        FusionScenario(left=left, a=0, right=right, b=0, logical_partner=partner)
+
+
+def test_isolated_a_with_partner_is_in_domain():
+    """The partner carries a's bit, so a needs no neighbour."""
+    sc = FusionScenario(left=graph(1), a=0, right=_path(3), b=0)
+    assert compare_scenario(sc, matrices.builtin("theorem7"))["pass"]
 
 
 def test_scenario_counts():
