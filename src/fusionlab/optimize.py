@@ -11,9 +11,9 @@ advance together as one numpy batch, each at its own target, and a final
 exchange ranks every target's points at every target (see `sweep`);
 `optimize` is the case T = 1.  An objective supplies only its hard value,
 its signed gap p_total - p_target (0 in threshold mode) and its per-outcome
-gradient weights, all at per-row targets; the engine owns the gradient,
-pool scoring, best-point tracking and the final merge with the builtin
-matrices.  Rows, gradients and per-outcome arrays are batch last, as
+gradient weights, all at per-row targets, and whether its target is
+settled (see below); the engine owns the gradient, pool scoring,
+best-point tracking and the final merge with the builtin matrices.  Rows, gradients and per-outcome arrays are batch last, as
 `fusion._outcomes` takes them.
 
 Gradients are exact and reverse-mode.  Every descent direction is a
@@ -40,7 +40,14 @@ restart, so the engine never asks which objective it runs.
 Known exact optima (the builtin matrices) join the candidate pool of every
 run.  They matter at the boundaries: descent approaches the s = 1 optimum
 through matrices with determinant 1/4 - O(1e-10) whose entropy rounds below
-1, while the builtins sit on the dyadic knife edge exactly.
+1, while the builtins sit on the dyadic knife edge exactly.  A target whose
+optimum a builtin provably reaches is settled (`_settled`): its restarts
+stay at their pool starts.  Threshold mode settles s = 0, where every
+matrix has P = 1, and s = 1, where pbs2 and theorem7 reach the paper's
+bound P <= 1/2, the linear-optics Bell-measurement limit (Calsamiglia &
+Luetkenhaus, Appl. Phys. B 72, 67, 2001) that type-II fusion inherits.
+Expectation mode settles none: no p_target has a proven closed-form
+optimum inside the feasible band.
 """
 from __future__ import annotations
 
@@ -84,6 +91,8 @@ class ExpectationEntropy:
 
     _kind = "expectation"
     _s_floor = 2e-9  # states_used counts the entangled outcomes
+    # no p_target has a proven closed-form optimum within FEASIBLE_BAND
+    _settled = False
 
     def __post_init__(self):
         object.__setattr__(self, "p_target", matrices._real(self.p_target, "p_target"))
@@ -128,6 +137,11 @@ class ThresholdProbability:
     @property
     def _s_floor(self) -> float:
         return self.s_target_bits
+
+    @property
+    def _settled(self) -> bool:
+        """P(0) = 1 and P(1) = 1/2 need no descent; see the module docstring."""
+        return not 0.0 < self.s_target_bits < 1.0
 
     @staticmethod
     def _score(out, target):
@@ -182,7 +196,8 @@ class OptResult:
     closest to the target wins.  `restart_values` holds the final hard value
     of each of this target's own restarts, `trace` the per-iteration hard
     value of the winning restart, or of the own restart ranked best the same
-    way when the winner comes from elsewhere.
+    way when the winner comes from elsewhere.  A settled target's restarts
+    are its undescended pool starts, so its trace is flat.
     """
 
     best_matrix: np.ndarray
@@ -332,36 +347,55 @@ def _complete(rows, seed: int) -> np.ndarray:
     return q[..., 0]  # one block, yielded once it is drawn without degeneracy
 
 
+def _pool_starts(objective, targets, cfg: OptimizerConfig):
+    """The R = `cfg.restarts` starts of each of the T `targets`, (2, 4, T,
+    R), and their hard values, (T, R): per restart the best of its
+    `cfg.init_samples` draws from one Haar pool of rows 1-2 at `master_seed`,
+    scored at every target by value - L1_BETA |gap|."""
+    T, R = len(targets), cfg.restarts
+    pool = np.empty((2, 4, R * cfg.init_samples), dtype=complex)
+    for block, q in matrices._haar_rows(np.random.default_rng(cfg.master_seed), pool.shape[-1]):
+        pool[..., block] = q
+    value, gap = np.broadcast_arrays(*_evaluate(objective, pool, targets[:, None])[:2])
+    pick = np.argmax((value - L1_BETA * np.abs(gap)).reshape(T, R, -1), axis=-1)
+    restart = np.arange(R)
+    starts = pool.reshape(2, 4, R, -1)[:, :, restart, pick]
+    return starts, value.reshape(T, R, -1)[np.arange(T)[:, None], restart, pick]
+
+
 def _descend(objectives, cfg: OptimizerConfig) -> list[OptResult]:
     """One batched restart descent for T objectives of one kind, R =
     `cfg.restarts` rows each; see `sweep` and the module docstring."""
     obj = objectives[0]
     T, R = len(objectives), cfg.restarts
     targets = np.array([o._target for o in objectives])
+    starts, start_value = _pool_starts(obj, targets, cfg)
 
-    # one Haar candidate pool, scored at every target
-    pool = np.empty((2, 4, R * cfg.init_samples), dtype=complex)
-    for block, q in matrices._haar_rows(np.random.default_rng(cfg.master_seed), pool.shape[-1]):
-        pool[..., block] = q
-    value0, gap0, _ = _evaluate(obj, pool, targets[:, None])
-    score0 = (value0 - L1_BETA * np.abs(gap0)).reshape(T, R, -1)
-    starts = pool.reshape(2, 4, R, -1)[:, :, np.arange(R), np.argmax(score0, axis=-1)]
-
+    # settled targets never descend: their restarts stay at their starts,
+    # and each trace repeats its start's value
+    live = np.array([not o._settled for o in objectives])
+    moving = np.repeat(live, R)
     target = np.repeat(targets, R)
-    finals, trace = _run(obj, starts.reshape(2, 4, T * R), target, cfg.iterations, cfg.step)
+    finals = starts.reshape(2, 4, T * R)
+    trace = np.repeat(start_value.reshape(1, T * R), cfg.iterations, axis=0)
+    if live.any():
+        ran, trace[:, moving] = _run(obj, finals[..., moving], target[moving], cfg.iterations, cfg.step)
+        finals[..., moving] = ran
 
     handed = np.empty((2, 4, 0), dtype=complex)
-    if T > 1:
-        # hand-off round: every target descends again, for a third of the
-        # iterations, from the round-1 winners of its two sorted neighbours
-        value1, gap1, _ = _evaluate(obj, finals, target)
-        value1, gap1 = value1.reshape(T, R), gap1.reshape(T, R)
-        best = [_rank(value1[t], gap1[t], np.abs(gap1[t]) <= FEASIBLE_BAND) for t in range(T)]
-        winners = finals.reshape(2, 4, T, R)[:, :, np.arange(T), best]
-        order = np.argsort(targets, kind="stable")
+    L = np.count_nonzero(live)
+    if L > 1:
+        # hand-off round: every unsettled target descends again, for a third
+        # of the iterations, from the round-1 winners of its unsettled
+        # neighbours in sorted target order
+        value1, gap1, _ = _evaluate(obj, ran, target[moving])
+        value1, gap1 = value1.reshape(L, R), gap1.reshape(L, R)
+        best = [_rank(value1[t], gap1[t], np.abs(gap1[t]) <= FEASIBLE_BAND) for t in range(L)]
+        winners = ran.reshape(2, 4, L, R)[:, :, np.arange(L), best]
+        order = np.argsort(targets[live], kind="stable")
         src = np.concatenate([order[:-1], order[1:]])
         dst = np.concatenate([order[1:], order[:-1]])
-        handed, _ = _run(obj, winners[..., src], targets[dst], cfg.iterations // 3, cfg.step)
+        handed, _ = _run(obj, winners[..., src], targets[live][dst], cfg.iterations // 3, cfg.step)
 
     # final exchange: the builtins and every final point, ranked at every target
     names = matrices.BUILTIN_NAMES
@@ -429,19 +463,22 @@ def sweep(kind: str, targets, config: OptimizerConfig | None = None) -> list[dic
     """Optimize every target in one batched descent, with a cross-target exchange.
 
     All targets share one candidate pool, drawn from `master_seed` as in
-    `optimize`, and their restarts descend together as one batch.  With two
-    or more targets a hand-off round follows: each target descends for a
+    `optimize`, and their restarts descend together as one batch; the
+    settled targets s = 0 and s = 1 of threshold mode (see the module
+    docstring) keep their pool starts and do not descend.  With two or more
+    unsettled targets a hand-off round follows: each of them descends for a
     third of the iterations, with fresh momentum, from the round-1 winners
-    of its neighbours in sorted target order.  Finally the builtins and every
-    final point of both rounds are scored at every target, and each target
-    ranks all of them.  So a matrix found for one target counts for every
-    other: P(s) is weakly decreasing by construction.  At the default
-    config and master seeds 0 to 3 the hand-off raises 10 to 15 of the 51
-    targets p = 0.50, 0.51, ..., 1.00 by more than 1e-4 (by up to 0.0046),
-    and 0 to 4 of the 26 targets s = 0, 0.04, ..., 1 (by up to 0.0029).
-    `mean_value` covers the target's own restarts.  A one-target sweep is
-    exactly `optimize`.  Rows come back in the order the targets were
-    given, every one with `seed` = `master_seed`."""
+    of its unsettled neighbours in sorted target order.  Finally the
+    builtins and every final point of both rounds are scored at every
+    target, and each target ranks all of them.  So a matrix found for one
+    target counts for every other: P(s) is weakly decreasing by
+    construction.  At the default config and master seeds 0 to 3 the
+    hand-off raises 10 to 15 of the 51 targets p = 0.50, 0.51, ..., 1.00 by
+    more than 1e-4 (by up to 0.0046), and 0 to 4 of the 26 targets s = 0,
+    0.04, ..., 1 (by up to 0.0029).  `mean_value` covers the target's own
+    restarts, at a settled target its undescended starts.  A one-target
+    sweep is exactly `optimize`.  Rows come back in the order the targets
+    were given, every one with `seed` = `master_seed`."""
     if kind not in ("expectation", "threshold"):
         raise ValueError(f"sweep kind must be expectation or threshold, got {kind!r}")
     cfg = config if config is not None else OptimizerConfig()

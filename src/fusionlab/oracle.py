@@ -346,6 +346,8 @@ class FusionScenario:
     qubit for the new link.  b needs a neighbour, and so does a unless the
     partner carries its bit: the closed forms assume that each side's two
     branches (marked qubit 0 or 1) are orthogonal states of its survivors.
+    Neither cluster may hold a special edge: the fused graph's one special
+    edge is the weighted link (e, d) that the weighted-graph verdict tests.
     """
 
     left: GraphSpec
@@ -359,6 +361,12 @@ class FusionScenario:
             raise MalformedInputError(f"marked qubit a={self.a} not in left graph")
         if not 0 <= self.b < self.right.n:
             raise MalformedInputError(f"marked qubit b={self.b} not in right graph")
+        for side, g in (("left", self.left), ("right", self.right)):
+            if g.special_edge is not None:
+                raise MalformedInputError(
+                    f"special edge {g.special_edge} in the {side} graph: a scenario's"
+                    " clusters take plain edges only"
+                )
         if self.right.degree(self.b) == 0:
             raise MalformedInputError(f"marked qubit b={self.b} has no neighbour")
         if self.left.degree(self.a) == 0 and not self.logical_partner:

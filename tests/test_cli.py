@@ -394,6 +394,20 @@ def test_oracle_rejects_non_finite_chi(tmp_path, capsys):
     assert "bad special edge" in capsys.readouterr().err
 
 
+def test_oracle_refuses_special_edge_in_scenario(tmp_path, capsys):
+    """The expected fused graph keeps its one special edge for the fused
+    link, so a cluster's own special edge was once dropped from it and a
+    correct state failed the stabilizer verdict (exit 1)."""
+    path = tmp_path / "special.scenario"
+    path.write_text(
+        "left\n3\n0 1\nspecial 1 2 3.141592653589793\n"
+        "right\n3\n0 1\n1 2\nfuse 0 0\n"
+    )
+    assert main(["oracle", str(path), "--matrix", "theorem7"]) == 2
+    err = capsys.readouterr().err
+    assert "special edge (1, 2, 3.141592653589793) in the left graph" in err
+
+
 @pytest.mark.parametrize(
     "text, qubit",
     [

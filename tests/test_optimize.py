@@ -202,10 +202,24 @@ def test_states_used_counts_the_winner():
         assert res.states_used == np.count_nonzero((p > opt.STATES_P_FLOOR) & (s >= floor - 1e-9))
 
 
-def test_threshold_knife_edge_prefers_exact_builtin():
-    """At s = 1 descent lands epsilon below the dyadic edge; the exact
-    builtin must win the final ranking."""
-    res = opt.optimize(ThresholdProbability(s_target_bits=1.0), SMALL)
+def test_threshold_knife_edge_prefers_exact_builtin(monkeypatch):
+    """s = 1 is settled without descent, so descent points reach it from a
+    neighbouring target: those of s = 0.96 carry entropies just below the
+    dyadic edge, and the exact builtin must win the final ranking."""
+    finals = []
+    run = opt._run
+
+    def spy(*args):
+        points, trace = run(*args)
+        finals.append(points)
+        return points, trace
+
+    monkeypatch.setattr(opt, "_run", spy)
+    rows = sweep("threshold", [0.96, 1.0], SMALL)
+    (points,) = finals  # round 1 of s = 0.96 alone: no unsettled neighbour to hand off to
+    value, _, out = opt._evaluate(ThresholdProbability, points, 1.0)
+    assert np.max(out.s) > 1.0 - 1e-3 and np.max(value) < 0.5
+    res = rows[1]["result"]
     assert res.from_builtin in ("pbs2", "theorem7")
     assert res.hard_value == 0.5
     assert res.states_used == 4
@@ -294,6 +308,68 @@ def test_threshold_sweep_monotone_and_ordered():
         >= by_target[0.5]["hard_value"]
         >= by_target[1.0]["hard_value"]
     )
+
+
+def _record_run_targets(monkeypatch):
+    """Per `_run` call, the per-row targets and the iteration count."""
+    calls = []
+    run = opt._run
+
+    def spy(objective, r, target, iterations, step):
+        calls.append((list(target), iterations))
+        return run(objective, r, target, iterations, step)
+
+    monkeypatch.setattr(opt, "_run", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, targets",
+    [
+        ("threshold", [1.0, 0.5, 0.0]),
+        ("threshold", [k / 25 for k in range(26)][::-1]),
+        ("expectation", [0.9, 0.5, 1.0, 0.7]),
+    ],
+)
+def test_only_unsettled_targets_descend(monkeypatch, kind, targets):
+    """Threshold mode settles s = 0 and s = 1 without descent; expectation
+    mode settles nothing.  Round 1 runs every unsettled target's restarts,
+    in the given order, and the hand-off chain links only neighbouring
+    unsettled targets in sorted order."""
+    calls = _record_run_targets(monkeypatch)
+    rows = sweep(kind, targets, TINY)
+    live = [t for t in targets if kind == "expectation" or 0.0 < t < 1.0]
+    chain = sorted(live)
+    expected = [(list(np.repeat(live, TINY.restarts)), TINY.iterations)]
+    if len(live) > 1:
+        expected.append((chain[1:] + chain[:-1], TINY.iterations // 3))
+    assert calls == expected
+    for row in rows:
+        assert len(row["result"].restart_values) == TINY.restarts
+        assert len(row["result"].trace) == TINY.iterations
+        if kind == "threshold" and row["target"] in (0.0, 1.0):
+            assert row["hard_value"] == (1.0 if row["target"] == 0.0 else 0.5)
+            assert row["result"].from_builtin is not None
+
+
+def test_all_settled_sweep_runs_no_descent(monkeypatch):
+    """A sweep of settled targets alone never calls `_run`: each keeps its
+    R best pool starts as restarts, and its trace repeats the winning
+    start's value; numpy warns of nothing."""
+    calls = _record_run_targets(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = sweep("threshold", [1.0, 0.0], TINY)
+        single = opt.optimize(ThresholdProbability(1.0), TINY)
+    assert calls == []
+    assert [row["hard_value"] for row in rows] == [0.5, 1.0]
+    assert _result_key(single) == _result_key(rows[0]["result"])
+    for row in rows:
+        res = row["result"]
+        assert len(res.restart_values) == TINY.restarts
+        assert res.trace == (res.trace[0],) * TINY.iterations
+        assert res.trace[0] == pytest.approx(max(res.restart_values), abs=1e-12)
+        assert row["mean_value"] == pytest.approx(np.mean(res.restart_values), abs=1e-12)
 
 
 def test_sweep_row_schema():
