@@ -179,7 +179,8 @@ def _cmd_optimize(args) -> int:
             f"{args.mode} target={reports.fmt(row['target'])} "
             f"best={reports.fmt(row['hard_value'])} "
             f"mean={reports.fmt(row['mean_value'])} "
-            f"states_used={row['states_used']}"
+            f"states_used={row['states_used']} "
+            f"iterations={row['iterations']}"
         )
     print(f"wrote {csv_path}")
     return 0

@@ -105,8 +105,13 @@ def determinants_from_matrix(matrix) -> np.ndarray:
 
 
 def _snapped_root(d: np.ndarray) -> np.ndarray:
-    """sqrt(1 - 4 det) of determinants already in [0, DET_MAX], snapped per BOUNDARY_SNAP."""
-    return np.sqrt(1.0 - 4.0 * np.where(DET_MAX - d <= BOUNDARY_SNAP, DET_MAX, d))
+    """sqrt(1 - 4 det) of determinants already in [0, DET_MAX], snapped per
+    BOUNDARY_SNAP: 0 where DET_MAX - det <= BOUNDARY_SNAP.  Within 1/8 of
+    DET_MAX, 1 - 4 det is exactly 4 (DET_MAX - det) (Sterbenz's lemma), so
+    the test reads 1 - 4 det <= 4 BOUNDARY_SNAP."""
+    x = np.asarray(1.0 - 4.0 * d)
+    x[x <= 4.0 * BOUNDARY_SNAP] = 0.0
+    return np.sqrt(x)
 
 
 def eigenvalues_from_det(det):

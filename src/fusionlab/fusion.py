@@ -28,12 +28,21 @@ and p_ii = m_i (1 - m_i) / 2.  Channel indices in the public API are 1-based.
 
 Every relevant outcome depends on rows 1-2 of U alone: rows 3-4 enter p_ij
 not at all, and det_ij only through a minor equal to one of rows 1-2
-(`entanglement.determinants_from_matrix`).
+(`entanglement.determinants_from_matrix`).  In fact they depend only on the
+plane those rows span.  With t_ij = |U_1i U_2j - U_1j U_2i|^2 the squared
+minors of rows 1-2, which sum to 1, the Cauchy-Binet formula (Horn &
+Johnson, Matrix Analysis, 0.8.7) gives t_ij = m_i m_j - |o_ij|^2 for the
+overlaps o_ij = U_1i conj(U_1j) + U_2i conj(U_2j), and row i of the
+projector onto the plane gives m_i = sum_{j != i} t_ij.  Any other basis z
+of the plane, z = A (rows 1-2) with A invertible, scales every minor by
+det A, so t_ij = |minor_ij(z)|^2 / sum |minor(z)|^2 fixes m, |o|^2, p, det
+and S without orthonormalizing z (`_plane_outcomes`).
 
 The public kernels take stacked matrices of shape (..., 4, 4) and return
 batched arrays.  They wrap one private kernel, `_outcomes`, which works
 batch last: it reads rows 1-2 of U from a (2, 4, ...) array (`_rows`) and
-returns (4, ...) or (6, ...) arrays, one row per channel or pair.  One
+returns (4, ...) or (6, ...) arrays, one row per channel or pair;
+`_plane_outcomes` returns the same from any basis of the row plane.  One
 matrix's outcomes, with their normalized coefficients, come from
 `outcome_table`; `OutcomeTable.get(i, j)` picks one.
 """
@@ -45,7 +54,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .matrices import UNITARY_TOL, FusionlabError, validate_unitary
+from .matrices import UNITARY_TOL, DegenerateSampleError, FusionlabError, validate_unitary
 
 __all__ = [
     "CHANNELS",
@@ -137,8 +146,14 @@ def _check_and_clamp(p: np.ndarray, upper: float) -> np.ndarray:
 
 # the kernel's output, batch last: m and n (4, ...); the overlaps o_ij =
 # U_1i conj(U_1j) + U_2i conj(U_2j), p, |top|^2 of the minors of rows
-# (1, 2), det and S in bits (6, ...); the last three None if it stops after p
+# (1, 2), det and S in bits (6, ...); the last three None if it stops after
+# p, the overlaps None from `_plane_outcomes`
 _Outcomes = namedtuple("_Outcomes", "m n overlap p top2 det s")
+
+_TINY = np.finfo(float).tiny
+
+# the three pairs (RELEVANT_PAIRS positions) that contain each channel
+_PAIRS_OF = np.array([[0, 0, 1, 2], [1, 3, 3, 4], [2, 4, 5, 5]])
 
 
 def _rows(matrix) -> np.ndarray:
@@ -153,6 +168,31 @@ def _batch_first(x: np.ndarray) -> np.ndarray:
     return x.transpose(*range(1, x.ndim), 0)
 
 
+def _top2(r: np.ndarray) -> np.ndarray:
+    """|r_0i r_1j - r_0j r_1i|^2, the squared minors of the rows r, (2, 4,
+    ...), on the six pairs, (6, ...)."""
+    r0, r1 = r
+    top = r0[_PI] * r1[_PJ] - r0[_PJ] * r1[_PI]
+    return top.real**2 + top.imag**2
+
+
+def _det_entropy(p: np.ndarray, top2: np.ndarray):
+    """(det, S in bits), (6, ...) each, from p and top2: det = top2_ij
+    top2_kl / (4 p_ij)^2 by `entanglement.determinants_from_matrix`'s
+    identity, 0 where p = 0 and clipped to DET_MAX; S is
+    `entanglement.entropy` of the larger eigenvalue, bit for bit and +0.0
+    at det = 0, without its guards for eigenvalues outside [1/2, 1]."""
+    from . import entanglement  # which builds on this module
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = top2 * top2[::-1] / np.maximum(4.0 * p, 1e-300) ** 2
+    det[~(p > 0.0)] = 0.0
+    np.minimum(det, entanglement.DET_MAX, out=det)  # det >= 0: top2 >= 0, p > 0
+    lam = 0.5 * (1.0 + entanglement._snapped_root(det))
+    lo = 1.0 - lam  # >= 0, and >= 2^-53 unless 0, where lo log2(tiny) = +0.0
+    # at lo = 0 both terms are +0.0, and 0.0 - (+0.0) is +0.0 where -(+0.0) is not
+    return det, 0.0 - (lam * np.log2(lam) + lo * np.log2(np.maximum(lo, _TINY)))
+
+
 def _outcomes(r: np.ndarray, entropies: bool = True) -> _Outcomes:
     """Every relevant-outcome quantity (`_Outcomes`) of the matrices with
     rows 1-2 r[0], r[1], r of shape (2, 4, ...) from `_rows`.  det comes
@@ -165,14 +205,29 @@ def _outcomes(r: np.ndarray, entropies: bool = True) -> _Outcomes:
     p = _check_and_clamp(0.125 - 0.5 * n[_PI] * n[_PJ] - 0.5 * np.abs(overlap) ** 2, 0.25)
     if not entropies:
         return _Outcomes(m, n, overlap, p, None, None, None)
-    from . import entanglement  # which builds on this module
-    top = r0[_PI] * r1[_PJ] - r0[_PJ] * r1[_PI]
-    top2 = top.real**2 + top.imag**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.where(p > 0.0, top2 * top2[::-1] / np.maximum(4.0 * p, 1e-300) ** 2, 0.0)
-    det = np.minimum(det, entanglement.DET_MAX)  # det >= 0: top2 >= 0, p > 0
-    s = entanglement.entropy(0.5 * (1.0 + entanglement._snapped_root(det)))
-    return _Outcomes(m, n, overlap, p, top2, det, s)
+    top2 = _top2(r)
+    return _Outcomes(m, n, overlap, p, top2, *_det_entropy(p, top2))
+
+
+def _plane_outcomes(z: np.ndarray) -> _Outcomes:
+    """`_outcomes` of the orthonormal rows that span the same plane as the
+    rows z, (2, 4, ...), read from z's six minors (see the module
+    docstring) with no orthonormalization and no overlaps (None); top2 is
+    t, the normalized squared minors.  Raises DegenerateSampleError where
+    `matrices._gram_schmidt` would: where |z_0| < 1e-12 or sum |minor|^2 /
+    |z_0|^2, the squared norm of z_1 projected off z_0, is below 1e-24.
+    Agrees with `_outcomes` of those rows up to rounding, not bit for bit."""
+    top2 = _top2(z)
+    plane = np.add.reduce(top2, 0)
+    row0 = np.add.reduce(z[0].real ** 2 + z[0].imag ** 2, 0)
+    if (row0 < 1e-24).any() or (plane < 1e-24 * row0).any():
+        raise DegenerateSampleError("rows numerically linearly dependent")
+    t = top2 / plane
+    m = np.add.reduce(t[_PAIRS_OF], 0)
+    m_i, m_j = m[_PI], m[_PJ]
+    # 1/8 - n_i n_j / 2 - |o_ij|^2 / 2 with |o_ij|^2 = m_i m_j - t_ij
+    p = _check_and_clamp(0.25 * (m_i + m_j) - m_i * m_j + 0.5 * t, 0.25)
+    return _Outcomes(m, 0.5 - m, None, p, t, *_det_entropy(p, t))
 
 
 def _diag(m: np.ndarray) -> np.ndarray:

@@ -202,14 +202,22 @@ def _gram_schmidt(z: np.ndarray, done: np.ndarray | None = None) -> np.ndarray:
     return q
 
 
-def _haar_rows(rng, n: int, done: np.ndarray | None = None):
-    """Yield (block, q): two more rows of n Haar unitaries, `_BLOCK` at a
-    time, q = `_gram_schmidt` of two Ginibre rows per matrix after the rows
-    `done` (j, 4, n), if any.  The stream holds all n real parts, shape
-    (n, 2, 4), then the imaginary parts, drawn block by block.  A
-    degenerate block redraws all n (five draws at most) and yields again
-    from the first block: consumers write each q into its block's slice.
-    The optimizer draws its pool and completes its winners here."""
+def _haar_rows(rng, n: int, done: np.ndarray | None = None, finish=None):
+    """Yield (block, finish(z)), `_BLOCK` matrices at a time, z the complex
+    (2, 4, b) Ginibre rows of n Haar unitaries, rows first and batch last;
+    with rows `done` (j, 4, n) given, finish(z, done[..., block]).
+    `finish` defaults to `_gram_schmidt`, which makes z orthonormal after
+    `done`: so `haar_sample`, the optimizer's pool and its completion of a
+    winner get their rows.  `optimize.random_scatter` passes
+    `fusion._plane_outcomes`, which scores the plane of z's rows without
+    orthonormalizing them; one generator gives it and `haar_sample` the
+    same matrices at a seed, after a redraw too.  The stream holds all n
+    real parts, shape (n, 2, 4), then the imaginary parts, drawn block by
+    block.  A block that `finish` finds degenerate (DegenerateSampleError;
+    both finishers apply Gram-Schmidt's criterion) redraws all n, five
+    draws at most, and yields again from the first block: consumers write
+    each result into its block's slice."""
+    finish = _gram_schmidt if finish is None else finish
     for _ in range(5):
         re, drawn = rng.standard_normal((n, 2, 4)), 0
         try:
@@ -219,7 +227,7 @@ def _haar_rows(rng, n: int, done: np.ndarray | None = None):
                 drawn += len(im)
                 z = np.empty(im.shape[1:] + im.shape[:1], dtype=complex)
                 z.real, z.imag = re[block].transpose(1, 2, 0), im.transpose(1, 2, 0)
-                yield block, _gram_schmidt(z, None if done is None else done[..., block])
+                yield block, finish(z) if done is None else finish(z, done[..., block])
             return
         except DegenerateSampleError:
             rng.standard_normal((n - drawn, 2, 4))  # the rest of this draw

@@ -246,6 +246,20 @@ def test_optimize_tiny_threshold_run(tmp_path, capsys):
     assert "wrote" in out and "states_used=" in out
 
 
+def test_settled_targets_report_no_iterations(tmp_path, capsys):
+    """s = 0 and s = 1 run no descent, so their sweep rows, CSV rows and
+    per-target lines say 0 iterations; s = 0.5 descends for 7."""
+    argv = ["optimize", "threshold", "--s-target", "0", "--s-target", "0.5",
+            "--s-target", "1", "--iterations", "7", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = _read_csv(tmp_path / "sweep_threshold.csv")
+    assert [r["iterations"] for r in rows] == ["0", "7", "0"]
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("threshold ")]
+    assert [ln.rsplit(" iterations=", 1)[1] for ln in lines] == ["0", "7", "0"]
+    swept = optimize.sweep("threshold", [0.0, 0.5, 1.0], optimize.OptimizerConfig(iterations=7))
+    assert [r["iterations"] for r in swept] == [0, 7, 0]
+
+
 def test_optimize_tiny_expectation_run(tmp_path):
     code = main(
         ["optimize", "expectation", "--p-target", "0.5", "--restarts", "2",

@@ -14,6 +14,7 @@ from fusionlab.optimize import (
     sweep,
     threshold_probability,
 )
+from test_batching import _scatter_rows, check_scatter_rows
 
 
 TINY = OptimizerConfig(restarts=2, init_samples=4, iterations=30, master_seed=7)
@@ -507,23 +508,60 @@ def test_random_scatter_blocks_match_whole_batch(mode):
     """Scoring block by block agrees with scoring the whole batch at once."""
     n, seed, targets = 2 * matrices._BLOCK + 452, 13, [0.0, 0.5, 1.0]
     assert n % matrices._BLOCK
-    u = matrices.haar_sample(np.random.default_rng(seed), size=n)
     if mode == "expectation":
         rows, summary = random_scatter(n, seed)
-        got = np.array(rows)
-        # the scatter's p_total is the sum of p_ij, not the closed form (1 + sum n^2) / 2
-        p_total = np.sum(fusion.relevant_probabilities(u), axis=-1)
-        want = np.stack([p_total, expectation_entropy(u)], axis=-1)
-        assert summary["n"] == n and summary["S_exp_mean"] == np.mean(want[:, 1])
+        check_scatter_rows(rows, seed, n)
+        assert summary["n"] == n and summary["S_exp_mean"] == np.mean(rows[:, 1])
     else:
         rows, summary = random_scatter(n, seed, mode="threshold", s_targets=targets)
-        got = np.array(rows).reshape(len(targets), n, 2)
-        want = np.stack(
-            [np.stack([np.full(n, t), threshold_probability(u, t)], axis=-1) for t in targets]
-        )
+        check_scatter_rows(rows, seed, n, targets)
         assert list(summary["targets"]) == targets
-    assert rows.dtype == np.float64 and rows.shape == (want.size // 2, 2)
-    np.testing.assert_array_equal(got, want)
+    assert rows.dtype == np.float64 and rows.shape == (n * (1 if mode == "expectation" else 3), 2)
+
+
+class _DegenerateFirstDraw:
+    """A Generator whose first draw of n Ginibre rows 1-2 gives matrix k
+    two equal rows, both parts, so that draw's block k // B is degenerate."""
+
+    def __init__(self, seed, k):
+        self.rng, self.k, self.calls = np.random.Generator(np.random.PCG64(seed)), k, 0
+
+    def standard_normal(self, shape):
+        x = self.rng.standard_normal(shape)
+        self.calls += 1
+        if self.calls in (1, 2 + self.k // matrices._BLOCK):  # its real, then its imaginary parts
+            row = self.k if self.calls == 1 else self.k % matrices._BLOCK
+            x[row, 1] = x[row, 0]
+        return x
+
+
+def test_random_scatter_redraws_as_haar_sample(monkeypatch):
+    """A degenerate block makes `random_scatter` and `haar_sample` redraw
+    alike: both finishers apply the Gram-Schmidt criterion, both consume
+    the whole failed draw, and the scored rows are the redrawn matrices."""
+    B = matrices._BLOCK
+    n, seed, k = 2 * B + 5, 17, B + 3
+    made = []
+
+    def degenerate_first_draw(s):
+        made.append(_DegenerateFirstDraw(s, k))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", degenerate_first_draw)
+    u = matrices.haar_sample(seed, size=n)
+    rows, _ = random_scatter(n, seed)
+    monkeypatch.undo()
+    # real parts, imaginary blocks up to the failure, the rest, a clean
+    # draw's four; haar_sample then draws rows 3-4 in four more
+    assert [r.calls for r in made] == [1 + 2 + 1 + 4 + 4, 1 + 2 + 1 + 4]
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((2, n, 2, 4))  # the failed draw
+    re, im = rng.standard_normal((2, n, 2, 4))
+    z = np.empty((2, 4, n), dtype=complex)
+    z.real, z.imag = re.transpose(1, 2, 0), im.transpose(1, 2, 0)
+    np.testing.assert_array_equal(u[:, :2], matrices._gram_schmidt(z).transpose(2, 0, 1))
+    np.testing.assert_array_equal(rows, _scatter_rows(fusion._plane_outcomes(z), n, None))
+    assert np.abs(rows[:, 1] - expectation_entropy(u)).max() <= 1e-14
 
 
 def test_random_scatter_matches_direct_evaluation():
